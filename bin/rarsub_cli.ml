@@ -181,6 +181,18 @@ let resubs =
       Synth.Script.resub_methods
   @ [ ("rar", `Other (fun net -> ignore (Rewiring.Rar.optimize net))) ]
 
+(* The counter line every optimize run ends with. Methods that rank
+   divisors through the signature filter say whether it was on; the rest
+   (none, rar, and resub-k, whose signatures generate candidates instead)
+   print the same tallies unlabelled. *)
+let print_counters ~filtered ~no_filter counters =
+  let label =
+    if filtered then
+      Printf.sprintf "divisor filter (%s)" (if no_filter then "off" else "on")
+    else "counters"
+  in
+  Printf.printf "%s: %s\n" label (Rar_util.Counters.to_string counters)
+
 let optimize_cmd =
   let run circuit file exdc script method_name no_filter no_memo jobs
       sim_seed sim_words fault_budget deadline trace_file output verify
@@ -245,10 +257,12 @@ let optimize_cmd =
       let (), resub_time = Rar_util.Stopwatch.time (fun () -> resub net) in
       Printf.printf "after %s: %d literals (%.2fs)\n" method_name
         (Lit_count.factored net) resub_time;
-      if Atomic.get counters.Rar_util.Counters.pairs_considered > 0 then
-        Printf.printf "divisor filter (%s): %s\n"
-          (if no_filter then "off" else "on")
-          (Rar_util.Counters.to_string counters);
+      print_counters ~no_filter
+        ~filtered:
+          (match List.assoc method_name resubs with
+          | `Method meth -> meth <> Synth.Script.Kresub
+          | `Other _ -> false)
+        counters;
       if verify then begin
         let result =
           match dc with
@@ -290,7 +304,8 @@ let optimize_cmd =
       & opt (enum (List.map (fun (n, _) -> (n, n)) resubs)) "ext"
       & info [ "m"; "method" ] ~docv:"METHOD"
           ~doc:"Resubstitution method: $(b,none), $(b,resub) (algebraic), \
-                $(b,basic), $(b,ext), $(b,ext-gdc) or $(b,rar).")
+                $(b,basic), $(b,ext), $(b,ext-gdc), $(b,resub-k) \
+                (constructive k-resubstitution) or $(b,rar).")
   in
   let no_filter_flag =
     Arg.(
@@ -315,9 +330,10 @@ let optimize_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Evaluate ranked divisor candidates speculatively on $(docv) \
-             domains (default 1). Results are bit-identical for any value; \
-             $(b,0) means one domain per core, negative values mean 1.")
+            "Scan whole dividends speculatively on $(docv) domains \
+             (default 1); commits stay serial in ascending dividend order, \
+             so results are bit-identical for any value. $(b,0) means one \
+             domain per core, negative values mean 1.")
   in
   let sim_seed_arg =
     Arg.(
@@ -497,10 +513,11 @@ let optimize_aig_cmd =
           script method_name stats.Synth.Aig_opt.gates_after seconds
           stats.Synth.Aig_opt.windows stats.Synth.Aig_opt.accepted
           stats.Synth.Aig_opt.reverted stats.Synth.Aig_opt.skipped;
-        if Atomic.get counters.Rar_util.Counters.pairs_considered > 0 then
-          Printf.printf "divisor filter (%s): %s\n"
-            (if no_filter then "off" else "on")
-            (Rar_util.Counters.to_string counters);
+        print_counters ~no_filter
+          ~filtered:
+            (List.assoc method_name Synth.Script.resub_methods
+            <> Synth.Script.Kresub)
+          counters;
         if verify then begin
           let before = Logic_network.Aig.to_network aig
           and after = Logic_network.Aig.to_network optimised in
@@ -552,7 +569,7 @@ let optimize_aig_cmd =
           "ext"
       & info [ "m"; "method" ] ~docv:"METHOD"
           ~doc:"Resubstitution method per window: $(b,sis), $(b,basic), \
-                $(b,ext) or $(b,ext-gdc).")
+                $(b,ext), $(b,ext-gdc) or $(b,resub-k).")
   in
   let no_filter_flag =
     Arg.(
@@ -571,9 +588,9 @@ let optimize_aig_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Per-window speculative-evaluation parallelism (default 1). \
-             Output bytes are identical for any value; $(b,0) means one \
-             domain per core.")
+            "Speculative dividend-scan parallelism inside each window \
+             (default 1); windows run in order. Output bytes are \
+             identical for any value; $(b,0) means one domain per core.")
   in
   let sim_seed_arg =
     Arg.(

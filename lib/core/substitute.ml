@@ -1,11 +1,9 @@
 open Twolevel
 module Network = Logic_network.Network
 module Fanin_cache = Logic_network.Fanin_cache
-module Dirty = Logic_network.Dirty
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
 module Counters = Rar_util.Counters
-module Pool = Rar_util.Pool
 module Budget = Rar_util.Budget
 module Trace = Rar_util.Trace
 
@@ -319,40 +317,20 @@ let make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
         ];
     ok
 
-(* A worker's verdict on one dividend, scanned to quiescence (or to its
-   first would-be commit) on a private snapshot of the frozen live
-   network. *)
-type spec_reads =
-  | Spec_unbounded
-      (* the scan can read the whole network (GDC implications, or the
-         unfiltered A/B ranking): survives only while nothing commits *)
-  | Spec_region
-      (* not recomputed, but contained in the dividend's static region
-         by construction (dividend-level memo replay) *)
-  | Spec_set of Network.Node_set.t  (* explicit read closure *)
-
-type spec_result = {
-  spec_committed : bool;  (* the scan would commit at least one unit *)
-  spec_burn : int;  (* node ids the whole failed scan consumed *)
-  spec_units : int;  (* units resolved: memo hits + real attempts *)
-  spec_reads : spec_reads;
-  spec_counters : Counters.t;
-  spec_seconds : float;
-}
-
 let run ?(config = extended_config) ?fault_fuel ?deadline_at
     ?(trace = Trace.disabled) ?counters net =
   let counters =
     match counters with Some c -> c | None -> Counters.create ()
   in
-  let cache = Fanin_cache.create net in
-  let sigs =
+  let signatures net =
     if config.use_filter then
       Some
         (Signature.create ~seed:config.sim_seed ~words:config.sim_words
            ?dc:config.dc net)
     else None
   in
+  let cache = Fanin_cache.create net in
+  let sigs = signatures net in
   Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
   @@ fun () ->
   let literals_before = Lit_count.factored net in
@@ -364,95 +342,10 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
     | `Pos -> incr pos_count);
     Counters.add counters.Counters.substitutions 1
   in
-  let run_unit =
-    make_attempts ~config ?fault_fuel ?deadline_at ~trace ~counters ~sigs
-      ~committed ~verbose:true net
-  in
-  let dirty = if config.use_memo then Some (Dirty.create net) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Dirty.detach dirty)
-  @@ fun () ->
-  let memo = Option.map Division_memo.create dirty in
   let unit_target = function
     | Div d -> Division_memo.Divisor (d, Division_memo.Both)
     | Ext pool -> Division_memo.Pool pool
   in
-  (* What a Boolean unit can read. Non-GDC implications are confined to
-     the dividend/divisor region, but redundancy removal inside a
-     division consults dominators and fault propagation across the
-     dividend's transitive fanout, and the signature phase gates read
-     both full fanin cones — so the bound is TFI(f) ∪ TFI(divisors) ∪
-     TFO(f). Under GDC the implication region is the whole network, so
-     only a fully unchanged network proves a replay. *)
-  (* TFI(f) ∪ TFO(f) is shared by every unit of one dividend scan and
-     the transitive fanout has no cross-call cache, so memoise it per
-     (dividend, clock) — a commit moves the clock and drops the entry. *)
-  let base_cache = ref None in
-  let dividend_base m f =
-    let c = Dirty.clock (Division_memo.dirty m) in
-    match !base_cache with
-    | Some (f', c', s) when f' = f && c' = c -> s
-    | _ ->
-      let s =
-        Network.Node_set.union
-          (Fanin_cache.transitive_fanin cache f)
-          (Network.transitive_fanout net [ f ])
-      in
-      base_cache := Some (f, c, s);
-      s
-  in
-  (* Shared with the workers, which pass their own snapshot-bound cache
-     and precomputed base set. *)
-  let unit_reads_set ~cache base u =
-    match u with
-    | Div d ->
-      Network.Node_set.union base (Fanin_cache.transitive_fanin cache d)
-    | Ext pool ->
-      List.fold_left
-        (fun acc d ->
-          Network.Node_set.union acc (Fanin_cache.transitive_fanin cache d))
-        base pool
-  in
-  let unit_reads m f u =
-    if config.gdc then Division_memo.all_nodes
-    else
-      Division_memo.reads_of_set
-        (unit_reads_set ~cache (dividend_base m f) u)
-  in
-  (* Memoised unit attempt: skipped when the memo proves the recorded
-     failure would replay, reserving the recorded id burn so the
-     allocator (and hence every later node name) stays in lockstep with
-     a memo-off run. Real attempts run under the dirty tracker's
-     speculation guard: a failed unit mutates and restores the network,
-     and those paired events must not move any stamps. *)
-  let attempt_unit f u =
-    match memo with
-    | None -> run_unit f u
-    | Some m -> (
-      let target = unit_target u in
-      match
-        Division_memo.replay_failure m ~f target ~meth:Division_memo.Boolean
-      with
-      | Some burn ->
-        Counters.add counters.Counters.memo_hits 1;
-        if burn > 0 then Network.reserve_ids net burn;
-        false
-      | None ->
-        Counters.add counters.Counters.memo_misses 1;
-        let id0 = Network.id_limit net in
-        let ok =
-          Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id
-            (fun () -> run_unit f u)
-        in
-        if not ok then
-          Division_memo.record_failure m ~f target
-            ~meth:Division_memo.Boolean ~reads:(unit_reads m f u)
-            ~burn:(Network.id_limit net - id0);
-        ok)
-  in
-  let jobs = max 1 config.jobs in
-  let wpool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown wpool)
-  @@ fun () ->
   let units_of divisors =
     (match config.mode with
     | Extended ->
@@ -461,362 +354,115 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
     | Basic -> [])
     @ List.map (fun d -> Div d) divisors
   in
-  (* The sequential scan of one dividend: rank its divisors, then run the
-     units in order against the live network. Every other execution path
-     — including the parallel scheduler's committing re-executions —
-     funnels through this, so there is exactly one definition of what a
-     scan does. *)
-  let scan_dividend changed f =
+  (* The scan of one dividend against [ctx.net] — the live network, or a
+     worker's private snapshot with its own [cache] and [sigs]: rank the
+     divisors, then run the units in order. A live scan runs every unit;
+     a snapshot scan stops at its first would-be commit, which is all the
+     scheduler needs to know. *)
+  let scan_on (ctx : Scheduler.ctx) ~cache ~sigs f =
+    let net = ctx.net in
     let divisors =
-      rank_divisors ~counters ~cache ?sigs net f
+      rank_divisors ~counters:ctx.counters ~cache ?sigs net f
         ~use_complement:config.use_complement ~limit:config.max_divisors
     in
+    let cones init ds =
+      List.fold_left
+        (fun acc d ->
+          Network.Node_set.union acc (Fanin_cache.transitive_fanin cache d))
+        init ds
+    in
+    (* What the whole snapshot scan could read: the dividend's structural
+       footprint (ranking rejections stay inside it) plus the ranked
+       divisors' fanin cones (units and phase gates read those). GDC
+       implications and the unfiltered ranking read the whole network,
+       so there the closure is unbounded. The scheduler never consults a
+       live scan's closure. *)
+    let reads =
+      if ctx.live || config.gdc || sigs = None then Scheduler.Unbounded
+      else Scheduler.Set (cones (Partition.footprint net f) divisors)
+    in
+    let run_unit =
+      make_attempts ~config ?fault_fuel ?deadline_at
+        ~trace:(if ctx.live then trace else Trace.disabled)
+        ~counters:ctx.counters ~sigs
+        ~committed:(if ctx.live then committed else ignore)
+        ~verbose:ctx.live net
+    in
+    (* What a Boolean unit can read. Non-GDC implications are confined to
+       the dividend/divisor region, but redundancy removal inside a
+       division consults dominators and fault propagation across the
+       dividend's transitive fanout, and the signature phase gates read
+       both full fanin cones — so the bound is TFI(f) ∪ TFI(divisors) ∪
+       TFO(f). Under GDC the implication region is the whole network, so
+       only a fully unchanged network proves a replay. TFI(f) ∪ TFO(f) is
+       shared by every unit of the scan until a commit restructures it. *)
+    let dividend_base () =
+      Network.Node_set.union
+        (Fanin_cache.transitive_fanin cache f)
+        (Network.transitive_fanout net [ f ])
+    in
+    let base = ref (lazy (dividend_base ())) in
+    let unit_reads u =
+      if config.gdc then Division_memo.all_nodes
+      else
+        Division_memo.reads_of_set
+          (cones (Lazy.force !base)
+             (match u with Div d -> [ d ] | Ext pool -> pool))
+    in
+    (* Memoised unit attempt: skipped when the memo proves the recorded
+       failure would replay, reserving the recorded id burn so the
+       allocator (and hence every later node name) stays in lockstep with
+       a memo-off run. A failure a worker proves on its snapshot is a true
+       fact at the frozen clock, so it is recorded into the shared memo
+       even if the scan itself is later discarded. *)
+    let attempt u =
+      match ctx.memo with
+      | None -> run_unit f u
+      | Some m -> (
+        let target = unit_target u in
+        match
+          Division_memo.replay_failure m ~f target ~meth:Division_memo.Boolean
+        with
+        | Some burn ->
+          Counters.add ctx.counters.Counters.memo_hits 1;
+          if burn > 0 then Network.reserve_ids net burn;
+          false
+        | None ->
+          Counters.add ctx.counters.Counters.memo_misses 1;
+          let id0 = Network.id_limit net in
+          let ok = ctx.speculating (fun () -> run_unit f u) in
+          if not ok then
+            Division_memo.record_failure m ~f target
+              ~meth:Division_memo.Boolean ~reads:(unit_reads u)
+              ~burn:(Network.id_limit net - id0);
+          ok)
+    in
+    let landed = ref false in
     List.iter
       (fun u ->
         let alive =
-          Network.mem net f
+          (ctx.live || not !landed)
+          && Network.mem net f
           && match u with Div d -> Network.mem net d | Ext _ -> true
         in
-        if alive && attempt_unit f u then changed := true)
-      (units_of divisors)
+        if alive && attempt u then begin
+          landed := true;
+          base := lazy (dividend_base ())
+        end)
+      (units_of divisors);
+    {
+      Scheduler.outcome = (if !landed then Scheduler.Committed else Quiet);
+      reads;
+    }
   in
-  (* One driver step for one dividend, with the dividend-level memo fast
-     path: if nothing the whole scan read (or wrote) has moved since it
-     last ran to quiescence, every per-unit failure inside would replay
-     individually — skip the scan outright, reserving its total id
-     burn. *)
-  let process_dividend changed f =
-    if Network.mem net f then
-      match memo with
-      | None -> scan_dividend changed f
-      | Some m -> (
-        match Division_memo.replay_dividend m ~f with
-        | Some (burn, units) ->
-          Counters.add counters.Counters.memo_hits units;
-          if burn > 0 then Network.reserve_ids net burn
-        | None ->
-          let clock0 = Dirty.clock (Division_memo.dirty m) in
-          let id0 = Network.id_limit net in
-          let hits0 = Atomic.get counters.Counters.memo_hits in
-          let misses0 = Atomic.get counters.Counters.memo_misses in
-          scan_dividend changed f;
-          if
-            Dirty.clock (Division_memo.dirty m) = clock0
-            && Network.mem net f
-          then
-            Division_memo.record_dividend m ~f ~at:clock0
-              ~burn:(Network.id_limit net - id0)
-              ~units:
-                (Atomic.get counters.Counters.memo_hits - hits0
-                + (Atomic.get counters.Counters.memo_misses - misses0)))
-  in
-  (* ------------------------------------------------------------------ *)
-  (* jobs > 1: the region-sharded dividend scheduler. Whole dividends    *)
-  (* are scanned speculatively on private snapshots of the frozen live   *)
-  (* network and resolved here in ascending id order — the exact order   *)
-  (* the sequential pass visits them. A scan that found nothing          *)
-  (* resolves without touching the live network beyond replaying its id  *)
-  (* burn; a scan that would commit is discarded and re-executed         *)
-  (* through [process_dividend], i.e. the jobs=1 code path at the        *)
-  (* identical live state. The only way jobs>1 could diverge from        *)
-  (* jobs=1 is a fast-resolved scan whose live re-run would have         *)
-  (* committed; the survival test rules that out (DESIGN.md §12).        *)
-  (* ------------------------------------------------------------------ *)
-  let scan_speculative snap f =
-    let t0 = Unix.gettimeofday () in
-    let wc = Counters.create () in
-    let finish ~landed ~burn ~units ~reads =
-      {
-        spec_committed = landed;
-        spec_burn = burn;
-        spec_units = units;
-        spec_reads = reads;
-        spec_counters = wc;
-        spec_seconds = Unix.gettimeofday () -. t0;
-      }
-    in
-    if not (Network.mem snap f) then
-      finish ~landed:false ~burn:0 ~units:0
-        ~reads:(Spec_set Network.Node_set.empty)
+  let scan (ctx : Scheduler.ctx) f =
+    if ctx.live then scan_on ctx ~cache ~sigs f
     else
-      let replay =
-        match memo with
-        | None -> None
-        | Some m -> Division_memo.replay_dividend m ~f
-      in
-      match replay with
-      | Some (burn, units) ->
-        (* A recorded quiescent replay at the frozen clock; its read
-           closure was not recomputed, so survival falls back to the
-           static region (which contains the closure by construction). *)
-        Counters.add wc.Counters.memo_hits units;
-        finish ~landed:false ~burn ~units ~reads:Spec_region
-      | None ->
-        let wcache = Fanin_cache.create snap in
-        let wsigs =
-          if config.use_filter then
-            Some
-              (Signature.create ~seed:config.sim_seed ~words:config.sim_words
-                 ?dc:config.dc snap)
-          else None
-        in
-        Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
-        @@ fun () ->
-        let divisors =
-          rank_divisors ~counters:wc ~cache:wcache ?sigs:wsigs snap f
-            ~use_complement:config.use_complement ~limit:config.max_divisors
-        in
-        let base =
-          Network.Node_set.union
-            (Fanin_cache.transitive_fanin wcache f)
-            (Network.transitive_fanout snap [ f ])
-        in
-        (* What the whole scan could read: the dividend's structural
-           footprint (ranking rejections stay inside it) plus the ranked
-           divisors' fanin cones (units and phase gates read those). GDC
-           implications and the unfiltered ranking read the whole
-           network, so there the closure is unbounded. *)
-        let reads =
-          if config.gdc || wsigs = None then Spec_unbounded
-          else
-            Spec_set
-              (List.fold_left
-                 (fun acc d ->
-                   Network.Node_set.union acc
-                     (Fanin_cache.transitive_fanin wcache d))
-                 (Partition.footprint snap f)
-                 divisors)
-        in
-        let run_unit_snap =
-          make_attempts ~config ?fault_fuel ?deadline_at
-            ~trace:Trace.disabled ~counters:wc ~sigs:wsigs
-            ~committed:(fun _ -> ())
-            ~verbose:false snap
-        in
-        let id_start = Network.id_limit snap in
-        let landed = ref false in
-        let resolved = ref 0 in
-        List.iter
-          (fun u ->
-            let alive =
-              (not !landed)
-              && Network.mem snap f
-              && (match u with Div d -> Network.mem snap d | Ext _ -> true)
-            in
-            if alive then begin
-              incr resolved;
-              match memo with
-              | None -> if run_unit_snap f u then landed := true
-              | Some m -> (
-                let target = unit_target u in
-                match
-                  Division_memo.replay_failure m ~f target
-                    ~meth:Division_memo.Boolean
-                with
-                | Some burn ->
-                  Counters.add wc.Counters.memo_hits 1;
-                  if burn > 0 then Network.reserve_ids snap burn
-                | None ->
-                  Counters.add wc.Counters.memo_misses 1;
-                  let id0 = Network.id_limit snap in
-                  if run_unit_snap f u then landed := true
-                  else
-                    (* The snapshot is byte-identical to the live
-                       network (frozen while the batch runs), so this
-                       failure is a true fact at the frozen clock —
-                       recordable into the shared memo even if the scan
-                       itself is later discarded. *)
-                    Division_memo.record_failure m ~f target
-                      ~meth:Division_memo.Boolean
-                      ~reads:
-                        (if config.gdc then Division_memo.all_nodes
-                         else
-                           Division_memo.reads_of_set
-                             (unit_reads_set ~cache:wcache base u))
-                      ~burn:(Network.id_limit snap - id0))
-            end)
-          (units_of divisors);
-        finish ~landed:!landed
-          ~burn:(Network.id_limit snap - id_start)
-          ~units:!resolved ~reads
+      let wsigs = signatures ctx.net in
+      Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
+      @@ fun () -> scan_on ctx ~cache:(Fanin_cache.create ctx.net) ~sigs:wsigs f
   in
-  let pass_parallel pool_t changed nodes =
-    let jobs_n = Pool.jobs pool_t in
-    (* Static regions over the still-pending dividends; recomputed after
-       any commit (a rewrite can restructure cones across the old region
-       boundaries). *)
-    let part = ref None in
-    let rec drive pending =
-      match List.filter (Network.mem net) pending with
-      | [] -> ()
-      | pending ->
-        let p =
-          match !part with
-          | Some p -> p
-          | None ->
-            let p = Partition.shard net pending in
-            part := Some p;
-            p
-        in
-        let region_of f =
-          match Partition.region_of p f with
-          | r -> Some r
-          | exception Not_found -> None
-        in
-        (* Fill a batch up to [jobs_n] dividends, extending to twice
-           that while every member comes from a distinct region —
-           pairwise-disjoint footprints cannot invalidate one another,
-           so oversubscribing the pool with them is free. *)
-        let rec take acc regs all_distinct n rest =
-          match rest with
-          | [] -> (List.rev acc, [])
-          | f :: tl ->
-            if n >= 2 * jobs_n then (List.rev acc, rest)
-            else
-              let reg = region_of f in
-              let distinct =
-                all_distinct
-                &&
-                match reg with
-                | Some r -> not (List.mem r regs)
-                | None -> false
-              in
-              if n < jobs_n || distinct then
-                let regs =
-                  match reg with Some r -> r :: regs | None -> regs
-                in
-                take (f :: acc) regs distinct (n + 1) tl
-              else (List.rev acc, rest)
-        in
-        let batch, rest = take [] [] true 0 pending in
-        (* One frozen snapshot per batch; each worker copies from it
-           rather than from the live network ({!Network.copy} is a pure
-           read of its source, so concurrent copies are race-free). *)
-        let snap = Network.copy net in
-        let results =
-          Pool.run pool_t
-            (List.map
-               (fun f () -> scan_speculative (Network.copy snap) f)
-               batch)
-        in
-        let c_accum = ref Network.Node_set.empty in
-        let c_unbounded = ref false in
-        let committed_regions = ref [] in
-        let any_commit = ref false in
-        let re_round = ref [] in
-        List.iter2
-          (fun f r ->
-            let other_region () =
-              match region_of f with
-              | Some reg -> not (List.mem reg !committed_regions)
-              | None -> false
-            in
-            let survives =
-              (not !any_commit)
-              || (not !c_unbounded)
-                 && (match r.spec_reads with
-                    | Spec_unbounded -> false
-                    | Spec_region -> other_region ()
-                    | Spec_set reads ->
-                      other_region ()
-                      || Network.Node_set.disjoint !c_accum reads)
-            in
-            if not survives then begin
-              Counters.add counters.Counters.speculative_wasted 1;
-              Counters.add_seconds counters.Counters.speculative_seconds
-                r.spec_seconds;
-              re_round := f :: !re_round
-            end
-            else if r.spec_committed then begin
-              (* The prediction says this scan commits: discard the
-                 snapshot work and run the scan for real through the
-                 sequential path. The live state matches what the worker
-                 saw on everything the scan can read, so this is the
-                 jobs=1 execution, byte for byte. *)
-              Counters.add counters.Counters.speculative_wasted 1;
-              Counters.add_seconds counters.Counters.speculative_seconds
-                r.spec_seconds;
-              let subs0 = Atomic.get counters.Counters.substitutions in
-              process_dividend changed f;
-              if Atomic.get counters.Counters.substitutions > subs0 then begin
-                any_commit := true;
-                part := None;
-                (match r.spec_reads with
-                | Spec_set reads ->
-                  let post =
-                    if Network.mem net f then Partition.footprint net f
-                    else Network.Node_set.empty
-                  in
-                  c_accum :=
-                    Network.Node_set.union !c_accum
-                      (Network.Node_set.union reads post)
-                | Spec_region | Spec_unbounded -> c_unbounded := true);
-                match region_of f with
-                | Some reg -> committed_regions := reg :: !committed_regions
-                | None -> c_unbounded := true
-              end
-            end
-            else begin
-              (* A scan that found nothing, and whose re-run now would
-                 provably find nothing: consume its id burn so the
-                 allocator stays id-for-id with jobs=1, fold its
-                 tallies, and remember the quiescent scan. *)
-              Counters.accumulate counters r.spec_counters;
-              if r.spec_burn > 0 then Network.reserve_ids net r.spec_burn;
-              match memo with
-              | Some m when Network.mem net f ->
-                Division_memo.record_dividend m ~f
-                  ~at:(Dirty.clock (Division_memo.dirty m))
-                  ~burn:r.spec_burn ~units:r.spec_units
-              | _ -> ()
-            end)
-          batch results;
-        drive (List.rev !re_round @ rest)
-    in
-    drive nodes
-  in
-  let pass () =
-    let changed = ref false in
-    let nodes = List.sort Int.compare (Network.logic_ids net) in
-    (match wpool with
-    | Some pool_t -> pass_parallel pool_t changed nodes
-    | None -> List.iter (process_dividend changed) nodes);
-    !changed
-  in
-  let rec loop remaining =
-    if remaining > 0 then begin
-      let div0 = Atomic.get counters.Counters.divisions_attempted in
-      let hits0 = Atomic.get counters.Counters.memo_hits in
-      let misses0 = Atomic.get counters.Counters.memo_misses in
-      let cp0 = Atomic.get counters.Counters.imply_checkpoints in
-      let rs0 = Atomic.get counters.Counters.imply_resets in
-      let again = pass () in
-      Counters.add counters.Counters.passes 1;
-      counters.Counters.pass_divisions <-
-        counters.Counters.pass_divisions
-        @ [ Atomic.get counters.Counters.divisions_attempted - div0 ];
-      if Trace.enabled trace then begin
-        Trace.emit trace "memo"
-          [
-            ("driver", Trace.String "substitute");
-            ("pass", Trace.Int (Atomic.get counters.Counters.passes));
-            ("hits", Trace.Int (Atomic.get counters.Counters.memo_hits - hits0));
-            ( "misses",
-              Trace.Int (Atomic.get counters.Counters.memo_misses - misses0) );
-          ];
-        Trace.emit trace "checkpoint"
-          [
-            ("pass", Trace.Int (Atomic.get counters.Counters.passes));
-            ( "pops",
-              Trace.Int (Atomic.get counters.Counters.imply_checkpoints - cp0)
-            );
-            ( "resets",
-              Trace.Int (Atomic.get counters.Counters.imply_resets - rs0) );
-          ]
-      end;
-      if again then loop (remaining - 1)
-    end
-  in
+  let jobs = max 1 config.jobs in
   Trace.span trace "substitute"
     ~fields:
       [
@@ -826,7 +472,20 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
         );
         ("jobs", Trace.Int jobs);
       ]
-    (fun () -> loop config.max_passes);
+    (fun () ->
+      Scheduler.run ~trace ~counters ~jobs ~use_memo:config.use_memo
+        ~max_passes:config.max_passes net
+        {
+          Scheduler.name = "substitute";
+          (* Every configuration batches by region; GDC and unfiltered
+             scans report [Unbounded], so after a commit theirs are
+             re-rounded like an unscoped driver's. *)
+          scoped = true;
+          tally = counters.Counters.divisions_attempted;
+          generation = (fun () -> 0);
+          stop = (fun () -> false);
+          scan;
+        });
   (* A materialised core divisor can be orphaned across passes: DC-powered
      removal empties its cover, then a later commit rewires the dividend
      away from it. A fanout-free constant-zero non-output node carries no
@@ -844,8 +503,6 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
         && Cover.cube_count (Network.cover net id) = 0
       then Network.remove_node net id)
     (Network.logic_ids net);
-  Trace.emit trace "counters"
-    [ ("counters", Trace.Raw (Counters.to_json counters)) ];
   {
     basic_substitutions = !basic_count;
     extended_substitutions = !ext_count;

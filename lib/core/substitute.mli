@@ -32,10 +32,11 @@ type config = {
   max_pool : int;  (** divisor pool size for extended division *)
   max_passes : int;
   jobs : int;
-      (** speculative-evaluation parallelism (default 1). Ranked
-          candidates are scored concurrently on private network
-          snapshots and committed serially in rank order, so any value
-          produces networks bit-identical to a sequential run. *)
+      (** dividend-level parallelism (default 1). Whole dividends are
+          scanned speculatively on private network snapshots and
+          committed serially in ascending id order ({!Scheduler}), so
+          any value produces networks bit-identical to a sequential
+          run. *)
   sim_seed : int;
       (** signature-filter RNG seed (default
           {!Logic_sim.Signature.default_seed}) *)

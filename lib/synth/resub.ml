@@ -1,12 +1,11 @@
 open Twolevel
 module Network = Logic_network.Network
 module Fanin_cache = Logic_network.Fanin_cache
-module Dirty = Logic_network.Dirty
 module Division_memo = Booldiv.Division_memo
+module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
 module Counters = Rar_util.Counters
-module Pool = Rar_util.Pool
 module Trace = Rar_util.Trace
 
 let complement_limit = 64
@@ -90,20 +89,6 @@ let candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
     let sorted = List.sort (fun (_, a) (_, b) -> Int.compare b a) scored in
     List.filteri (fun i _ -> i < max_candidates) (List.map fst sorted)
 
-(* A worker's verdict on one dividend, scanned to quiescence (or to its
-   first would-be commit) on a private snapshot of the frozen live
-   network. Unlike the Boolean driver there is no read closure here:
-   algebraic candidate selection reads every node's signature with no
-   structural gate, so a speculative verdict only survives while
-   nothing at all has committed since its snapshot was taken. *)
-type spec_result = {
-  spec_committed : bool;
-  spec_burn : int;
-  spec_units : int;  (* memo hits + real attempts the scan resolved *)
-  spec_counters : Counters.t;
-  spec_seconds : float;
-}
-
 let run ?(use_complement = true) ?(use_filter = true)
     ?(max_candidates = default_max_candidates) ?(max_passes = 4) ?(jobs = 1)
     ?(sim_seed = Signature.default_seed) ?(sim_words = Signature.default_words)
@@ -116,41 +101,19 @@ let run ?(use_complement = true) ?(use_filter = true)
      applies here is the shared wall deadline, polled once per dividend
      node. Crossing it stops the remaining work (one degradation) while
      every committed rewrite stands. *)
-  let deadline_hit = ref false in
-  let past_deadline () =
-    match deadline_at with
-    | None -> false
-    | Some t ->
-      !deadline_hit
-      || Unix.gettimeofday () > t
-         && begin
-              deadline_hit := true;
-              Counters.add counters.Counters.degradations 1;
-              Trace.emit trace "degrade"
-                [
-                  ("unit", Trace.String "resub");
-                  ("reason", Trace.String "deadline");
-                ];
-              true
-            end
+  let stop =
+    Scheduler.deadline ~trace ~counters ~name:"resub" deadline_at
   in
-  let cache = Fanin_cache.create net in
-  let sigs =
+  let signatures net =
     if use_filter then
       Some (Signature.create ~seed:sim_seed ~words:sim_words ?dc net)
     else None
   in
+  let cache = Fanin_cache.create net in
+  let sigs = signatures net in
   Fun.protect ~finally:(fun () -> Option.iter Signature.detach sigs)
   @@ fun () ->
-  let dirty = if use_memo then Some (Dirty.create net) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Dirty.detach dirty)
-  @@ fun () ->
-  let memo = Option.map Division_memo.create dirty in
-  let jobs = max 1 jobs in
-  let wpool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown wpool)
-  @@ fun () ->
-  let substitutions = ref 0 in
+  let subs0 = Atomic.get counters.Counters.substitutions in
   (* An algebraic attempt reads only the two lifted covers — cover and
      fanin array of [f] and of [d] ({!Lift.cover}) — and any change to
      either stamps the node itself, so {f, d} is the whole read set.
@@ -160,18 +123,16 @@ let run ?(use_complement = true) ?(use_filter = true)
     Division_memo.reads_of_set
       (Network.Node_set.add f (Network.Node_set.singleton d))
   in
-  (* One pair against [net], with per-phase memo replay/record — shared
-     by the live path and the workers. Each polarity is skipped when the
-     memo proves the recorded failure would replay (reserving its
-     recorded id burn — zero for algebraic attempts — to keep the
-     allocator in lockstep with a memo-off run). [speculating] wraps
-     real attempts: the live path buffers Dirty events there so a
-     mutate-and-restore failure moves no stamps; workers run bare on
-     snapshots that have no tracker attached. Failures recorded by a
-     worker land in the shared striped table at the frozen clock — true
-     facts even if the worker's whole scan is later discarded. *)
-  let pair_attempt_on net ~cache ~counters:c ~speculating f d =
-    match memo with
+  (* One pair against [ctx.net], with per-phase memo replay/record. Each
+     polarity is skipped when the memo proves the recorded failure would
+     replay (reserving its recorded id burn — zero for algebraic
+     attempts — to keep the allocator in lockstep with a memo-off run).
+     Failures recorded by a worker land in the shared striped table at
+     the frozen clock — true facts even if the worker's whole scan is
+     later discarded. *)
+  let pair_attempt (ctx : Scheduler.ctx) ~cache f d =
+    let net = ctx.net and c = ctx.counters in
+    match ctx.memo with
     | None ->
       Counters.timed c `Division @@ fun () ->
       Counters.add c.Counters.divisions_attempted 1;
@@ -198,7 +159,7 @@ let run ?(use_complement = true) ?(use_filter = true)
             Counters.add c.Counters.memo_misses 1;
             let id0 = Network.id_limit net in
             let landed =
-              Counters.timed c `Division @@ fun () -> speculating real
+              Counters.timed c `Division @@ fun () -> ctx.speculating real
             in
             if not landed then
               Division_memo.record_failure m ~f
@@ -221,224 +182,54 @@ let run ?(use_complement = true) ?(use_filter = true)
         ok
       end
   in
-  let commit_real f d =
-    let ok =
-      pair_attempt_on net ~cache ~counters
-        ~speculating:(fun real ->
-          match memo with
-          | Some m ->
-            Dirty.speculating (Division_memo.dirty m) ~committed:Fun.id real
-          | None -> real ())
-        f d
+  (* The scan of one dividend: rank its candidates among the pass's
+     nodes, then attempt each pair in order — all of them live, up to
+     the first would-be commit on a snapshot. Algebraic candidate
+     selection reads every node's signature with no structural gate, so
+     no bounded read closure exists (the driver is unscoped). *)
+  let scan (ctx : Scheduler.ctx) f =
+    let net = ctx.net in
+    let cache, sigs =
+      if ctx.live then (cache, sigs)
+      else (Fanin_cache.create net, signatures net)
     in
-    if ok then begin
-      incr substitutions;
-      Counters.add counters.Counters.substitutions 1
-    end;
-    ok
-  in
-  (* The sequential scan of one dividend; the parallel scheduler's
-     committing re-executions funnel through this too. *)
-  let scan_dividend changed ~nodes f =
+    Fun.protect
+      ~finally:(fun () ->
+        if not ctx.live then Option.iter Signature.detach sigs)
+    @@ fun () ->
     let divisors =
-      candidates ~counters ~cache ?sigs ~use_complement ~max_candidates net
-        ~f ~nodes
+      candidates ~counters:ctx.counters ~cache ?sigs ~use_complement
+        ~max_candidates net ~f ~nodes:ctx.nodes
     in
+    let landed = ref false in
     List.iter
       (fun d ->
-        if Network.mem net f && Network.mem net d then
-          if commit_real f d then changed := true)
-      divisors
+        if
+          (ctx.live || not !landed)
+          && Network.mem net f && Network.mem net d
+          && pair_attempt ctx ~cache f d
+        then begin
+          landed := true;
+          Counters.add ctx.counters.Counters.substitutions 1
+        end)
+      divisors;
+    {
+      Scheduler.outcome =
+        (if !landed then Scheduler.Committed else Quiet);
+      reads = Unbounded;
+    }
   in
-  (* One driver step for one dividend, with the dividend-level memo fast
-     path: nothing anywhere committed since this dividend's scan means
-     every unit of it is individually a provable replay. *)
-  let process_dividend changed ~nodes f =
-    if (not (past_deadline ())) && Network.mem net f then begin
-      match memo with
-      | None -> scan_dividend changed ~nodes f
-      | Some m -> (
-        match Division_memo.replay_dividend m ~f with
-        | Some (burn, units) ->
-          Counters.add counters.Counters.memo_hits units;
-          if burn > 0 then Network.reserve_ids net burn
-        | None ->
-          let d = Division_memo.dirty m in
-          let clock0 = Dirty.clock d in
-          let id0 = Network.id_limit net in
-          let hits0 = Atomic.get counters.Counters.memo_hits in
-          let misses0 = Atomic.get counters.Counters.memo_misses in
-          scan_dividend changed ~nodes f;
-          if Dirty.clock d = clock0 then
-            Division_memo.record_dividend m ~f ~at:clock0
-              ~burn:(Network.id_limit net - id0)
-              ~units:
-                (Atomic.get counters.Counters.memo_hits - hits0
-                + (Atomic.get counters.Counters.memo_misses - misses0)))
-    end
-  in
-  (* jobs > 1: whole dividends are scanned speculatively on private
-     snapshots of the frozen live network (sharing the striped failure
-     memo), then resolved here in ascending id order — the order the
-     sequential pass visits them. A scan that found nothing resolves by
-     replaying its id burn; a scan that would commit is discarded and
-     re-executed through [process_dividend], the jobs=1 code path. Once
-     anything commits, the remaining verdicts of the batch are
-     re-rounded (see [spec_result] on why no finer survival test is
-     sound for the algebraic driver), so the live network evolves
-     byte-identically to a sequential run. *)
-  let scan_speculative snap ~nodes f =
-    let t0 = Unix.gettimeofday () in
-    let wc = Counters.create () in
-    let finish ~landed ~burn ~units =
-      {
-        spec_committed = landed;
-        spec_burn = burn;
-        spec_units = units;
-        spec_counters = wc;
-        spec_seconds = Unix.gettimeofday () -. t0;
-      }
-    in
-    if not (Network.mem snap f) then finish ~landed:false ~burn:0 ~units:0
-    else
-      let replay =
-        match memo with
-        | None -> None
-        | Some m -> Division_memo.replay_dividend m ~f
-      in
-      match replay with
-      | Some (burn, units) ->
-        Counters.add wc.Counters.memo_hits units;
-        finish ~landed:false ~burn ~units
-      | None ->
-        let wcache = Fanin_cache.create snap in
-        let wsigs =
-          if use_filter then
-            Some (Signature.create ~seed:sim_seed ~words:sim_words ?dc snap)
-          else None
-        in
-        Fun.protect ~finally:(fun () -> Option.iter Signature.detach wsigs)
-        @@ fun () ->
-        let divisors =
-          candidates ~counters:wc ~cache:wcache ?sigs:wsigs ~use_complement
-            ~max_candidates snap ~f ~nodes
-        in
-        let id_start = Network.id_limit snap in
-        let landed = ref false in
-        List.iter
-          (fun d ->
-            if (not !landed) && Network.mem snap f && Network.mem snap d then
-              if
-                pair_attempt_on snap ~cache:wcache ~counters:wc
-                  ~speculating:(fun real -> real ())
-                  f d
-              then landed := true)
-          divisors;
-        finish ~landed:!landed
-          ~burn:(Network.id_limit snap - id_start)
-          ~units:
-            (Atomic.get wc.Counters.memo_hits
-            + Atomic.get wc.Counters.memo_misses)
-  in
-  let rec split_at n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: tl -> split_at (n - 1) (x :: acc) tl
-  in
-  let pass_parallel pool_t changed ~nodes =
-    let rec drive pending =
-      if past_deadline () then ()
-      else
-        match List.filter (Network.mem net) pending with
-        | [] -> ()
-        | pending ->
-          let batch, rest = split_at (Pool.jobs pool_t) [] pending in
-          (* One frozen snapshot per batch; each worker copies from it
-             rather than from the live network ({!Network.copy} is a
-             pure read of its source, so concurrent copies are
-             race-free). *)
-          let snap = Network.copy net in
-          let results =
-            Pool.run pool_t
-              (List.map
-                 (fun f () -> scan_speculative (Network.copy snap) ~nodes f)
-                 batch)
-          in
-          let any_commit = ref false in
-          let re_round = ref [] in
-          List.iter2
-            (fun f r ->
-              if !any_commit then begin
-                Counters.add counters.Counters.speculative_wasted 1;
-                Counters.add_seconds counters.Counters.speculative_seconds
-                  r.spec_seconds;
-                re_round := f :: !re_round
-              end
-              else if r.spec_committed then begin
-                (* Discard the snapshot work and run the scan for real:
-                   the live state is what the worker saw, so this is the
-                   jobs=1 execution, byte for byte. *)
-                Counters.add counters.Counters.speculative_wasted 1;
-                Counters.add_seconds counters.Counters.speculative_seconds
-                  r.spec_seconds;
-                let subs0 = !substitutions in
-                process_dividend changed ~nodes f;
-                if !substitutions > subs0 then any_commit := true
-              end
-              else begin
-                (* Nothing committed since the snapshot, so the failed
-                   scan is exactly what the sequential sweep would have
-                   done here: consume its id burn, fold its tallies,
-                   remember the quiescent scan. *)
-                Counters.accumulate counters r.spec_counters;
-                if r.spec_burn > 0 then Network.reserve_ids net r.spec_burn;
-                match memo with
-                | Some m when Network.mem net f ->
-                  Division_memo.record_dividend m ~f
-                    ~at:(Dirty.clock (Division_memo.dirty m))
-                    ~burn:r.spec_burn ~units:r.spec_units
-                | _ -> ()
-              end)
-            batch results;
-          drive (List.rev !re_round @ rest)
-    in
-    drive nodes
-  in
-  let pass () =
-    let changed = ref false in
-    let nodes = List.sort Int.compare (Network.logic_ids net) in
-    (match wpool with
-    | Some pool_t -> pass_parallel pool_t changed ~nodes
-    | None -> List.iter (fun f -> process_dividend changed ~nodes f) nodes);
-    !changed
-  in
-  let rec loop remaining =
-    if remaining > 0 && not (past_deadline ()) then begin
-      let div0 = Atomic.get counters.Counters.divisions_attempted in
-      let hits0 = Atomic.get counters.Counters.memo_hits in
-      let misses0 = Atomic.get counters.Counters.memo_misses in
-      let continue = pass () in
-      Counters.add counters.Counters.passes 1;
-      counters.Counters.pass_divisions <-
-        counters.Counters.pass_divisions
-        @ [ Atomic.get counters.Counters.divisions_attempted - div0 ];
-      if Trace.enabled trace then
-        Trace.emit trace "memo"
-          [
-            ("driver", Trace.String "resub");
-            ("pass", Trace.Int (Atomic.get counters.Counters.passes));
-            ( "hits",
-              Trace.Int (Atomic.get counters.Counters.memo_hits - hits0) );
-            ( "misses",
-              Trace.Int (Atomic.get counters.Counters.memo_misses - misses0)
-            );
-          ];
-      if continue then loop (remaining - 1)
-    end
-  in
+  let jobs = max 1 jobs in
   Trace.span trace "resub"
     ~fields:[ ("jobs", Trace.Int jobs) ]
-    (fun () -> loop max_passes);
-  Trace.emit trace "counters"
-    [ ("counters", Trace.Raw (Counters.to_json counters)) ];
-  !substitutions
+    (fun () ->
+      Scheduler.run ~trace ~counters ~jobs ~use_memo ~max_passes net
+        {
+          Scheduler.name = "resub";
+          scoped = false;
+          tally = counters.Counters.divisions_attempted;
+          generation = (fun () -> 0);
+          stop;
+          scan;
+        });
+  Atomic.get counters.Counters.substitutions - subs0

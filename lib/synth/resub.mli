@@ -46,9 +46,10 @@ val run :
     [max_candidates] (filtered runs only) to {!default_max_candidates}.
     Pair/division tallies accumulate into [counters] when given.
 
-    [jobs] (default 1) evaluates ranked divisors speculatively in
-    parallel on private network snapshots and commits serially in rank
-    order, so the result is bit-identical to a sequential run; [sim_seed]
+    [jobs] (default 1) scans whole dividends speculatively on private
+    network snapshots and commits serially in ascending id order
+    ({!Booldiv.Scheduler}), so the result is bit-identical to a
+    sequential run; [sim_seed]
     (default {!Logic_sim.Signature.default_seed}) seeds the signature
     filter and [sim_words] (default
     {!Logic_sim.Signature.default_words}) sizes its vectors in 64-bit

@@ -110,8 +110,18 @@ let timed t field f =
       | `Validate -> add_seconds t.validation_seconds elapsed)
     f
 
-let pass_divisions_string t =
-  String.concat ", " (List.map string_of_int t.pass_divisions)
+let ints l = String.concat ", " (List.map string_of_int l)
+
+let pass_divisions_string t = ints t.pass_divisions
+
+(* Windowed runs accumulate thousands of passes; the one-line summary,
+   which already states the pass count, keeps the first and last three. *)
+let pass_divisions_summary t =
+  let n = List.length t.pass_divisions in
+  if n <= 9 then pass_divisions_string t
+  else
+    let pick keep = ints (List.filteri (fun i _ -> keep i) t.pass_divisions) in
+    pick (fun i -> i < 3) ^ ", ..., " ^ pick (fun i -> i >= n - 3)
 
 let to_string t =
   Printf.sprintf
@@ -124,7 +134,7 @@ let to_string t =
     (Atomic.get t.pairs_filtered)
     (Atomic.get t.divisions_attempted)
     (Atomic.get t.passes)
-    (pass_divisions_string t)
+    (pass_divisions_summary t)
     (Atomic.get t.substitutions)
     (Atomic.get t.memo_hits) (Atomic.get t.memo_misses)
     (Atomic.get t.imply_creates)

@@ -51,9 +51,11 @@ type t = {
       (** counterexample patterns folded back into the kresub signature
           vectors after a failed validation *)
   mutable pass_divisions : int list;
-      (** divisions_attempted per pass, oldest pass first; when
-          accumulated across circuits the lists are summed index-wise.
-          Driver-owned: never written by worker domains. *)
+      (** divisions_attempted per pass, oldest pass first — for the
+          [Kresub] driver, which divides nothing, [kresub_candidates]
+          (constructed candidates) per pass. When accumulated across
+          circuits the lists are summed index-wise. Driver-owned: never
+          written by worker domains. *)
   filter_seconds : float Atomic.t;
   division_seconds : float Atomic.t;
   speculative_seconds : float Atomic.t;
@@ -84,7 +86,10 @@ val timed :
     re-raised) also when the thunk raises. *)
 
 val to_string : t -> string
-(** One-line human-readable summary. *)
+(** One-line human-readable summary. It states the pass count, and a
+    [pass_divisions] list longer than nine entries is shown as its first
+    and last three entries. *)
 
 val to_json : t -> string
-(** JSON object with all fields (for the bench harness). *)
+(** JSON object with all fields, [pass_divisions] in full (for the bench
+    harness). *)

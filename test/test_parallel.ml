@@ -166,6 +166,190 @@ let pool_raise_no_hang () =
     (List.init (2 * jobs) (fun i -> i * i))
     results
 
+(* ------------------------------------------------------------------ *)
+(* The scheduler against a scripted driver                             *)
+(* ------------------------------------------------------------------ *)
+
+module Scheduler = Booldiv.Scheduler
+module Counters = Rar_util.Counters
+
+(* Three dividends a < b < c. a and b share input y, so they fall in one
+   Partition region; c sits alone in another. *)
+let fake_net () =
+  Logic_network.Builder.of_spec
+    ~inputs:[ "x"; "y"; "z"; "v"; "w" ]
+    ~nodes:[ ("a", "x y"); ("b", "y z"); ("c", "v w") ]
+    ~outputs:[ "a"; "b"; "c" ]
+
+let node net name = Logic_network.Builder.node net name
+
+(* A fake commit: replace the one-cube cover of a dividend by two cubes.
+   A dividend "would commit" while its cover still has one cube. *)
+let committed net f = Twolevel.Cover.cube_count (Network.cover net f) > 1
+
+let commit net f =
+  let lit i = Twolevel.Cube.of_literals_exn [ Twolevel.Literal.pos i ] in
+  Network.set_function net f ~fanins:(Network.fanins net f)
+    (Twolevel.Cover.of_cubes [ lit 0; lit 1 ])
+
+(* Run the scheduler with a driver whose scan is [script]; returns the
+   counters and every scan as (live, dividend name), in call order per
+   domain (worker scans interleave, so compare counts, not order). *)
+let run_fake ?(scoped = false) ?(jobs = 2) ?(use_memo = false)
+    ?(max_passes = 1) ?stop net script =
+  let counters = Counters.create () in
+  let calls = ref [] and lock = Mutex.create () in
+  let scan (ctx : Scheduler.ctx) f =
+    Mutex.protect lock (fun () ->
+        calls := (ctx.live, Network.name ctx.net f) :: !calls);
+    (* One memo unit per scan, so dividend replays show up as hits. *)
+    if ctx.memo <> None then Counters.add ctx.counters.Counters.memo_misses 1;
+    script ctx (Network.name ctx.net f) f
+  in
+  Scheduler.run ~counters ~jobs ~use_memo ~max_passes net
+    {
+      Scheduler.name = "fake";
+      scoped;
+      tally = counters.Counters.divisions_attempted;
+      generation = (fun () -> 0);
+      stop = Option.value stop ~default:(fun () -> false);
+      scan;
+    };
+  (counters, List.rev !calls)
+
+let count calls ~live name =
+  List.length (List.filter (fun c -> c = (live, name)) calls)
+
+let quiet reads = { Scheduler.outcome = Scheduler.Quiet; reads }
+
+(* [a] commits once; everyone else is quiet with [reads name]. *)
+let a_commits ?(reads = fun _ -> Scheduler.Unbounded) (ctx : Scheduler.ctx)
+    name f =
+  if name = "a" && not (committed ctx.net f) then begin
+    if ctx.live then commit ctx.net f;
+    { Scheduler.outcome = Committed; reads = reads name }
+  end
+  else quiet (reads name)
+
+let test_commit_reexecuted_live () =
+  let net = fake_net () in
+  let _, calls = run_fake net a_commits in
+  Alcotest.(check int) "a scanned once on a snapshot" 1
+    (count calls ~live:false "a");
+  Alcotest.(check int) "a re-executed once live" 1 (count calls ~live:true "a");
+  Alcotest.(check int) "nothing else live" 1
+    (List.length (List.filter fst calls));
+  Alcotest.(check bool) "the live re-execution committed" true
+    (committed net (node net "a"))
+
+let test_unbounded_rerounded () =
+  let net = fake_net () in
+  let counters, calls = run_fake net a_commits in
+  Alcotest.(check int) "b re-rounded after a's commit" 2
+    (count calls ~live:false "b");
+  Alcotest.(check int) "c in the next batch only" 1
+    (count calls ~live:false "c");
+  Alcotest.(check int) "wasted: a's discarded scan + b's stale one" 2
+    (Atomic.get counters.Counters.speculative_wasted)
+
+let test_disjoint_set_survives () =
+  let set net names =
+    Scheduler.Set
+      (Network.Node_set.of_list (List.map (node net) names))
+  in
+  let run b_reads =
+    let net = fake_net () in
+    let reads = function
+      | "a" -> set net [ "a" ]
+      | _ -> set net b_reads
+    in
+    run_fake ~scoped:true net (a_commits ~reads)
+  in
+  (* a and b share a region, so only the read closures can keep b. *)
+  let counters, calls = run [ "b"; "z" ] in
+  Alcotest.(check int) "disjoint b survives a's commit" 1
+    (count calls ~live:false "b");
+  Alcotest.(check int) "only a's scan wasted" 1
+    (Atomic.get counters.Counters.speculative_wasted);
+  let counters, calls = run [ "b"; "y" ] in
+  Alcotest.(check int) "b reading y (in a's footprint) re-rounded" 2
+    (count calls ~live:false "b");
+  Alcotest.(check int) "a's and b's scans wasted" 2
+    (Atomic.get counters.Counters.speculative_wasted)
+
+let test_burn_replay () =
+  (* Every scan burns a dividend-specific number of ids, before a's
+     one commit; quiet snapshot verdicts and dividend-memo replays must
+     leave the allocator exactly where the sequential run does. *)
+  let burning (ctx : Scheduler.ctx) name f =
+    Network.reserve_ids ctx.net (String.length name + Char.code name.[0] mod 3);
+    a_commits ctx name f
+  in
+  let limit jobs =
+    let net = fake_net () in
+    let counters, _ =
+      run_fake ~jobs ~use_memo:true ~max_passes:3 net burning
+    in
+    (Network.id_limit net, Atomic.get counters.Counters.memo_hits)
+  in
+  let seq_limit, seq_hits = limit 1 and par_limit, par_hits = limit 2 in
+  Alcotest.(check bool) "the memo replayed scans" true
+    (seq_hits > 0 && par_hits > 0);
+  Alcotest.(check int) "id_limit jobs=2 = jobs=1" seq_limit par_limit
+
+let test_stop_halts () =
+  List.iter
+    (fun jobs ->
+      let net = fake_net () in
+      let stop () = committed net (node net "a") in
+      let counters, calls = run_fake ~jobs ~max_passes:4 ~stop net a_commits in
+      let label = Printf.sprintf "jobs=%d: " jobs in
+      Alcotest.(check int) (label ^ "one pass") 1
+        (Atomic.get counters.Counters.passes);
+      Alcotest.(check int) (label ^ "b never scanned live") 0
+        (count calls ~live:true "b");
+      Alcotest.(check int) (label ^ "c never scanned") 0
+        (count calls ~live:true "c" + count calls ~live:false "c"))
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Structural gate: one scheduler                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The drivers supply only their per-dividend scans; pools, batching and
+   speculative accounting live in Booldiv.Scheduler alone. Source files
+   are declared as dune deps of this test, so the paths resolve inside
+   _build. *)
+let test_drivers_have_no_scheduler () =
+  let forbidden =
+    [ "Pool.run"; "Pool.create"; "speculative_wasted"; "split_at" ]
+  in
+  let read path =
+    let ic = open_in path in
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    really_input_string ic (in_channel_length ic)
+  in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i =
+      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun path ->
+      let text = read path in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s free of %S" path needle)
+            false (contains text needle))
+        forbidden)
+    [
+      "../lib/core/substitute.ml"; "../lib/synth/resub.ml";
+      "../lib/synth/kresub.ml";
+    ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -188,5 +372,20 @@ let () =
           Alcotest.test_case "order, reuse, exceptions" `Quick pool_basics;
           Alcotest.test_case "raising tasks at jobs max" `Quick
             pool_raise_no_hang;
+        ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "would-be commit re-executed live" `Quick
+            test_commit_reexecuted_live;
+          Alcotest.test_case "unbounded verdicts re-rounded" `Quick
+            test_unbounded_rerounded;
+          Alcotest.test_case "disjoint read set survives" `Quick
+            test_disjoint_set_survives;
+          Alcotest.test_case "replayed id burn = jobs:1" `Quick
+            test_burn_replay;
+          Alcotest.test_case "stop predicate halts the pass" `Quick
+            test_stop_halts;
+          Alcotest.test_case "drivers carry no scheduler" `Quick
+            test_drivers_have_no_scheduler;
         ] );
     ]
