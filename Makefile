@@ -1,4 +1,4 @@
-.PHONY: all test bench shardcheck tracecheck memocheck cubeops servicecheck bench-service aigcheck bench-aig dccheck kcheck ci doc clean
+.PHONY: all test bench gridcheck tracecheck cubeops servicecheck bench-service aigcheck bench-aig ci doc clean
 
 all:
 	dune build @all
@@ -6,24 +6,24 @@ all:
 test:
 	dune runtest
 
-# Region-scheduler soundness gate: every quick (circuit, method) cell
-# must be byte-identical across jobs in {1, 2, 8} with the division
-# memo on and off, and the per-method literal totals must match the
-# pinned quick-suite figures (245/241/239/235).
-shardcheck:
-	dune exec bench/main.exe -- shardcheck quick
+# Determinism gate over one grid: every quick (circuit, method) cell
+# runs once at each of jobs {1, 2, 8, max} x memo {on, off} x DC view
+# {none, empty}, plus the DC-rich fixture with its own view, and five
+# predicate families read the stored results: jobs=1 vs jobs=max
+# (exit 4), memo on vs off with live/inert counters (exit 6), the
+# whole grid vs the jobs=1 memo-on reference with the quick totals
+# pinned at 245/241/239/235 (exit 7), empty views invisible and the
+# fixture's DC runs deterministic and above their floors (exit 8),
+# BDD-verified references with resub-k <= 239 and its construction CPU
+# below ext's division CPU (exit 10).
+gridcheck:
+	dune exec bench/main.exe -- gridcheck quick
 
 # Degraded-run robustness gate: rerun the quick rows with a tiny fault
 # budget and a trace file, then lint every trace line as JSON and check
 # the degraded results are still equivalent.
 tracecheck:
 	dune exec bench/main.exe -- tracecheck quick
-
-# Division-memo soundness gate: every quick (circuit, method) cell must
-# be byte-identical with the memo on and off, with memo_hits > 0
-# overall when on and the memo counters untouched when off.
-memocheck:
-	dune exec bench/main.exe -- memocheck quick
 
 # Packed cube kernel vs the seed's list cubes: containment and
 # intersection throughput on synthetic multi-word covers.
@@ -53,54 +53,29 @@ bench-service:
 aigcheck:
 	dune exec bench/main.exe -- aigcheck
 
-# External don't-care discipline gate: every quick (circuit, method)
-# cell run with an explicitly attached empty DC view must be
-# byte-identical to the DC-less reference across the jobs-x-memo grid
-# (pinned totals 245/241/239/235), DC runs on the bundled DC-rich
-# fixture must be deterministic across the same grid, and each Boolean
-# method must beat its literal-improvement floor on that fixture while
-# verifying equivalent modulo the view.
-dccheck:
-	dune exec bench/main.exe -- dccheck quick
-
-# Constructive k-resubstitution gate: every quick (circuit, method)
-# cell is verified with the BDD oracle (exact, not sampled), the four
-# existing methods stay pinned to the shardcheck totals, resub-k's
-# total meets the ext floor (<= 239) and is byte-identical across the
-# jobs {1,2,8} x memo {on,off} grid, and its candidate-construction
-# CPU stays below ext's division CPU.
-kcheck:
-	dune exec bench/main.exe -- kcheck quick
-
 # Windowed-resub snapshot at real-benchmark scale: three generated
 # circuits of 12k-24k gates, gates/literals before and after plus wall
 # seconds. Writes BENCH_aig.json (committed).
 bench-aig:
 	dune exec bench/main.exe -- aig
 
-# Full local CI: build, tests, the jobs=1 vs jobs=max determinism gate
-# (literal totals must be identical), the shardcheck jobs-x-memo grid
-# gate (pinned quick totals), the degraded-run/trace gate, the
-# memo bit-identity gate, the cube-kernel microbenchmark, the resident-
-# service miss/hit byte-identity gate, the AIG backend round-trip and
-# windowed-resub determinism gate, the external don't-care discipline
-# gate, the constructive k-resub gate, and the quick
-# machine-readable perf snapshot (writes BENCH_resub.json for cross-PR
-# trajectory tracking; fails if total cpu_seconds — including the
-# multi-pass script benchmark — regresses >20% vs the previous snapshot
-# at jobs=1).
+# Full local CI: build, tests, the one-grid determinism gate (jobs,
+# memo, sharding, external don't cares and constructive k-resub, with
+# the pinned quick totals), the degraded-run/trace gate, the
+# cube-kernel microbenchmark, the resident-service miss/hit
+# byte-identity gate, the AIG backend round-trip and windowed-resub
+# determinism gate, and the quick machine-readable perf snapshot
+# (writes BENCH_resub.json for cross-PR trajectory tracking; fails if
+# total cpu_seconds — including the multi-pass script benchmark —
+# regresses >20% vs the previous snapshot at jobs=1).
 ci:
 	dune build @all
 	dune runtest
-	dune exec bench/main.exe -- jobscheck quick
-	dune exec bench/main.exe -- shardcheck quick
+	dune exec bench/main.exe -- gridcheck quick
 	dune exec bench/main.exe -- tracecheck quick
-	dune exec bench/main.exe -- memocheck quick
 	dune exec bench/main.exe -- cubeops
 	dune exec bench/main.exe -- servicecheck quick
 	dune exec bench/main.exe -- aigcheck
-	dune exec bench/main.exe -- dccheck quick
-	dune exec bench/main.exe -- kcheck quick
 	dune exec bench/main.exe -- bench quick
 
 bench:

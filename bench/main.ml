@@ -7,20 +7,16 @@
      main.exe table2 table5   run selected sections
      main.exe quick           tables on the small row subset only
      main.exe bench quick     write the BENCH_resub.json perf snapshot
-     main.exe jobscheck quick parallel-vs-sequential determinism gate
-     main.exe shardcheck quick totals gate across jobs x memo grid
+     main.exe gridcheck quick jobs x memo x DC determinism + pinned totals
      main.exe tracecheck quick degraded-run + trace JSON-lines gate
-     main.exe memocheck quick memo-on vs --no-memo bit-identity gate
-     main.exe dccheck quick   external don't-care discipline gate
-     main.exe kcheck quick    constructive k-resub identity + floor gate
      main.exe cubeops         packed-kernel vs list-cube microbenchmark
      main.exe servicecheck quick  daemon miss/hit + byte-identity gate
      main.exe service quick   daemon throughput snapshot (BENCH_service.json)
      main.exe aigcheck        AIGER round-trip + windowed-resub gate
      main.exe aig             >=10k-gate AIG snapshot (BENCH_aig.json)
    Sections: fig1 fig2 table1 fig4 table2 table3 table4 table5 ablation
-   bech bench jobscheck shardcheck tracecheck memocheck dccheck kcheck
-   cubeops servicecheck service aigcheck aig
+   bech bench gridcheck tracecheck cubeops servicecheck service aigcheck
+   aig (any other word prints this list and exits 1)
    Options (key=value): jobs=N (bench parallelism, default 1, 0 = one per
    core; snapshots at jobs=1 are gated >20%% CPU-regression against the
    previous file, and jobs>1 snapshots >20%% wall-clock regression
@@ -66,9 +62,10 @@ let run_cell ~reference net command =
     ok = Equiv.equivalent scratch reference;
   }
 
-(* One of Tables II/III/IV: a starting script, then each method from the
-   same starting point. *)
-let comparison_table ~title ~script rows =
+(* One method-comparison table: [measure row] gives the "init." literals
+   and one cell per method; totals follow, plus the improvement row when
+   asked. *)
+let comparison ~title ~against ~improvement ~note measure rows =
   section title;
   let columns =
     (("circuit", Table.Left) :: ("init.", Table.Right)
@@ -82,12 +79,7 @@ let comparison_table ~title ~script rows =
   let all_ok = ref true in
   List.iter
     (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net script;
-      let init = Lit_count.factored net in
-      let cells =
-        List.map (fun (_, cmd) -> run_cell ~reference:net net cmd) methods
-      in
+      let init, cells = measure row in
       totals.(0) <- totals.(0) + init;
       List.iteri (fun i c -> totals.(i + 1) <- totals.(i + 1) + c.lits) cells;
       let ok = List.for_all (fun c -> c.ok) cells in
@@ -100,12 +92,13 @@ let comparison_table ~title ~script rows =
               cells)
         @ [ (if ok then "yes" else "NO") ]))
     rows;
+  let method_indices = List.init (List.length methods) Fun.id in
   Table.add_separator table;
   Table.add_row table
     (("total" :: string_of_int totals.(0)
      :: List.concat_map
           (fun i -> [ string_of_int totals.(i + 1); "" ])
-          (List.init (List.length methods) Fun.id))
+          method_indices)
     @ [ "" ]);
   let percent i =
     Printf.sprintf "%.1f%%"
@@ -113,82 +106,52 @@ let comparison_table ~title ~script rows =
       *. float_of_int (totals.(0) - totals.(i + 1))
       /. float_of_int (max totals.(0) 1))
   in
-  Table.add_row table
-    (("improvement" :: ""
-     :: List.concat_map
-          (fun i -> [ percent i; "" ])
-          (List.init (List.length methods) Fun.id))
-    @ [ "" ]);
+  if improvement then
+    Table.add_row table
+      (("improvement" :: ""
+       :: List.concat_map (fun i -> [ percent i; "" ]) method_indices)
+      @ [ "" ]);
   print_string (Table.render table);
-  Printf.printf
-    "(all cells equivalence-checked against the starting network: %s)\n"
+  Printf.printf "(all cells equivalence-checked against the %s network: %s)\n"
+    against
     (if !all_ok then "pass" else "FAILURES PRESENT");
-  Printf.printf
-    "Expected shape (paper): every configuration beats sis; ext. GDC best;\n\
-     basic/ext CPU comparable to sis, ext. GDC slower.\n"
+  print_string note
+
+(* One of Tables II/III/IV: a starting script, then each method from the
+   same starting point. *)
+let comparison_table ~title ~script rows =
+  comparison ~title ~against:"starting" ~improvement:true
+    ~note:
+      "Expected shape (paper): every configuration beats sis; ext. GDC best;\n\
+       basic/ext CPU comparable to sis, ext. GDC slower.\n"
+    (fun row ->
+      let net = Suite.build row in
+      Synth.Script.run net script;
+      ( Lit_count.factored net,
+        List.map (fun (_, cmd) -> run_cell ~reference:net net cmd) methods ))
+    rows
 
 (* Table V: script.algebraic with each method replacing the resub steps. *)
 let table_v rows =
-  section "Table V - script.algebraic with resub replaced by each algorithm";
-  let columns =
-    (("circuit", Table.Left) :: ("init.", Table.Right)
-    :: List.concat_map
-         (fun (name, _) -> [ (name, Table.Right); ("cpu", Table.Right) ])
-         methods)
-    @ [ ("verified", Table.Left) ]
-  in
-  let table = Table.create columns in
-  let totals = Array.make (1 + List.length methods) 0 in
-  let all_ok = ref true in
-  List.iter
+  comparison
+    ~title:"Table V - script.algebraic with resub replaced by each algorithm"
+    ~against:"original" ~improvement:false
+    ~note:
+      "Paper's observed anomaly: inside script.algebraic, ext. GDC may\n\
+       slightly underperform ext. because of the locally greedy\n\
+       first-positive-gain policy.\n"
     (fun row ->
       let original = Suite.build row in
       (* The "init." column is the script run with resub disabled. *)
       let base = Network.copy original in
       Synth.Script.run base Synth.Script.script_algebraic;
-      let init = Lit_count.factored base in
-      let cells =
+      ( Lit_count.factored base,
         List.map
           (fun (_, resub) ->
-            let scratch = Network.copy original in
-            let (), cpu =
-              Rar_util.Stopwatch.time (fun () ->
-                  Synth.Script.run ~resub scratch Synth.Script.script_algebraic)
-            in
-            {
-              lits = Lit_count.factored scratch;
-              cpu;
-              ok = Equiv.equivalent scratch original;
-            })
-          methods
-      in
-      totals.(0) <- totals.(0) + init;
-      List.iteri (fun i c -> totals.(i + 1) <- totals.(i + 1) + c.lits) cells;
-      let ok = List.for_all (fun c -> c.ok) cells in
-      if not ok then all_ok := false;
-      Table.add_row table
-        ((row.Suite.name :: string_of_int init
-         :: List.concat_map
-              (fun c ->
-                [ string_of_int c.lits; Rar_util.Stopwatch.seconds_to_string c.cpu ])
-              cells)
-        @ [ (if ok then "yes" else "NO") ]))
-    rows;
-  Table.add_separator table;
-  Table.add_row table
-    (("total" :: string_of_int totals.(0)
-     :: List.concat_map
-          (fun i -> [ string_of_int totals.(i + 1); "" ])
-          (List.init (List.length methods) Fun.id))
-    @ [ "" ]);
-  print_string (Table.render table);
-  Printf.printf
-    "(all cells equivalence-checked against the original network: %s)\n"
-    (if !all_ok then "pass" else "FAILURES PRESENT");
-  Printf.printf
-    "Paper's observed anomaly: inside script.algebraic, ext. GDC may\n\
-     slightly underperform ext. because of the locally greedy\n\
-     first-positive-gain policy.\n"
+            run_cell ~reference:original original (fun scratch ->
+                Synth.Script.run ~resub scratch Synth.Script.script_algebraic))
+          methods ))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 1 - classic redundancy addition and removal                    *)
@@ -907,7 +870,7 @@ let previous_script_cpu path =
     if !found then Some !sum else None
 
 (* ------------------------------------------------------------------ *)
-(* DC-rich fixture shared by dccheck and the bench snapshot            *)
+(* DC-rich fixture shared by gridcheck and the bench snapshot          *)
 (* ------------------------------------------------------------------ *)
 
 (* Every node carries cubes that are live only on input patterns the
@@ -942,39 +905,65 @@ let dc_fixture () = Logic_network.Blif.parse_dc dc_fixture_text
    DC-blind one on the fixture, per Boolean method. *)
 let dc_fixture_floor = [ ("basic", 4); ("ext", 4); ("ext-gdc", 4) ]
 
-(* One (method, plain literals, DC literals, verified modulo DC) row of
-   the fixture — shared by the dccheck gate and the bench snapshot
-   record. *)
-let dc_fixture_cells () =
+(* One resubstitution run on a copy of [net]: the result, its
+   serialisation, id allocator position and literal count, and the
+   counters it ticked. *)
+type grid_run = {
+  net : Network.t;
+  text : string;
+  ids : int;
+  lits : int;
+  counters : Rar_util.Counters.t;
+}
+
+let grid_run ?dc ~jobs ~use_memo meth net =
+  let scratch = Network.copy net in
+  let counters = Rar_util.Counters.create () in
+  Synth.Script.resub_command ~jobs ~use_memo ?dc ~counters meth scratch;
+  {
+    net = scratch;
+    text = Network.to_string scratch;
+    ids = Network.id_limit scratch;
+    lits = Lit_count.factored scratch;
+    counters;
+  }
+
+(* The fixture after Script A, its view, and per method the DC-blind
+   and DC-aware reference runs (jobs 1, memo on) with whether the DC
+   run verifies modulo the view — shared by gridcheck and the bench
+   snapshot record. *)
+let dc_fixture_refs () =
   let net, dc = dc_fixture () in
-  List.map
-    (fun (name, meth) ->
-      let plain = Network.copy net in
-      Synth.Script.run plain Synth.Script.script_a;
-      Synth.Script.resub_command meth plain;
-      let dcrun = Network.copy net in
-      Synth.Script.run dcrun Synth.Script.script_a;
-      Synth.Script.resub_command ~dc meth dcrun;
-      let verified =
-        match Equiv.check_dc dc dcrun net with
-        | Equiv.Equivalent -> true
-        | Equiv.Counterexample _ -> false
-      in
-      (name, Lit_count.factored plain, Lit_count.factored dcrun, verified))
-    Synth.Script.resub_methods
+  let scripted = Network.copy net in
+  Synth.Script.run scripted Synth.Script.script_a;
+  let refs =
+    List.map
+      (fun (name, meth) ->
+        let plain = grid_run ~jobs:1 ~use_memo:true meth scripted in
+        let with_dc = grid_run ~dc ~jobs:1 ~use_memo:true meth scripted in
+        let verified =
+          match Equiv.check_dc dc with_dc.net net with
+          | Equiv.Equivalent -> true
+          | Equiv.Counterexample _ -> false
+        in
+        (name, meth, plain, with_dc, verified))
+      Synth.Script.resub_methods
+  in
+  (scripted, dc, refs)
 
 (* The bench snapshot's "dc" record. Key names avoid the "cpu_seconds" /
    "wall_seconds" substrings the regression parsers scan for. *)
 let dc_json () =
+  let _, _, refs = dc_fixture_refs () in
   Printf.sprintf "{\"fixture\": \"dcrich\", \"methods\": [%s]}"
     (String.concat ", "
        (List.map
-          (fun (name, plain, with_dc, verified) ->
+          (fun (name, _, plain, with_dc, verified) ->
             Printf.sprintf
               "{\"method\": %S, \"plain_literals\": %d, \"dc_literals\": \
                %d, \"verified_modulo_dc\": %b}"
-              name plain with_dc verified)
-          (dc_fixture_cells ())))
+              name plain.lits with_dc.lits verified)
+          refs))
 
 (* Emits one JSON record per (circuit, method) cell plus per-method
    totals: factored literals, CPU and wall seconds, verification status,
@@ -1171,62 +1160,7 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
     end
 
 (* ------------------------------------------------------------------ *)
-(* jobscheck - parallel runs must be bit-identical to sequential ones   *)
-(* ------------------------------------------------------------------ *)
-
-let jobs_check rows =
-  let jmax = max 4 (Rar_util.Pool.default_jobs ()) in
-  section
-    (Printf.sprintf "jobscheck - jobs=1 vs jobs=%d determinism gate" jmax);
-  let failures = ref 0 in
-  let totals_seq = ref 0 and totals_par = ref 0 in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let seq = Network.copy net and par = Network.copy net in
-          let (), cpu_seq =
-            Rar_util.Stopwatch.time (fun () ->
-                Synth.Script.resub_command ~jobs:1 meth seq)
-          in
-          let (), cpu_par =
-            Rar_util.Stopwatch.time (fun () ->
-                Synth.Script.resub_command ~jobs:jmax meth par)
-          in
-          let lits_seq = Lit_count.factored seq in
-          let lits_par = Lit_count.factored par in
-          let identical =
-            lits_seq = lits_par
-            && Network.to_string seq = Network.to_string par
-          in
-          let ok = Equiv.equivalent par net in
-          totals_seq := !totals_seq + lits_seq;
-          totals_par := !totals_par + lits_par;
-          if not (identical && ok) then incr failures;
-          Printf.printf
-            "  %-12s %-8s seq %4d lits %6.2fs | par %4d lits %6.2fs  %s\n"
-            row.Suite.name name lits_seq cpu_seq lits_par cpu_par
-            (if identical && ok then "identical"
-             else if not identical then "DIFFERS"
-             else "NOT EQUIVALENT");
-          ignore cpu_seq)
-        Synth.Script.resub_methods)
-    rows;
-  Printf.printf "literal totals: jobs=1 %d, jobs=%d %d\n" !totals_seq jmax
-    !totals_par;
-  if !failures > 0 then begin
-    Printf.printf "jobscheck: %d cell(s) FAILED the determinism gate\n"
-      !failures;
-    exit 4
-  end
-  else
-    Printf.printf
-      "jobscheck: all cells bit-identical and equivalence-checked\n"
-
-(* ------------------------------------------------------------------ *)
-(* shardcheck - jobs x memo grid must leave no byte behind             *)
+(* gridcheck - every determinism gate over one jobs x memo x DC grid   *)
 (* ------------------------------------------------------------------ *)
 
 (* The quick-suite per-method factored-literal totals after Script A.
@@ -1235,66 +1169,238 @@ let jobs_check rows =
 let expected_quick_totals =
   [ ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235) ]
 
-(* Stronger grid than jobscheck: every (circuit, method) cell is run at
-   jobs in {1, 2, 8} with the division memo on and off, and all six
-   networks must be byte-identical to the jobs=1 memo-on reference. On
-   the quick suite the per-method literal totals are additionally
-   pinned to the known-good figures above. *)
-let shard_check ~pinned rows =
-  section "shardcheck - totals gate across jobs {1,2,8} x memo {on,off}";
-  let grid =
-    [ (1, false); (2, true); (2, false); (8, true); (8, false) ]
+(* The resub-k quick-suite literal ceiling: the constructive driver
+   must do at least as well as extended division (the "ext" column of
+   [expected_quick_totals]). *)
+let kresub_quick_floor = 239
+
+(* The (jobs, memo) points run around the (1, on) reference. *)
+let grid_points = [ (1, false); (2, true); (2, false); (8, true); (8, false) ]
+
+let point_to_string (jobs, use_memo, view) =
+  Printf.sprintf "jobs=%d memo=%b view=%s" jobs use_memo view
+
+(* Each (circuit, method) cell runs once at every grid point: the
+   no-view reference (jobs 1, memo on, with a BDD and an [Equiv]
+   check), no-view runs at [grid_points] and at jobs=[jmax] memo on,
+   and empty-view runs at [grid_points]. The DC-rich fixture runs with
+   its own view at the reference and [grid_points]. Five families of
+   predicates are then evaluated against the stored results, each with
+   the exit code of the gate it replaces:
+   - jobscheck (4): jobs=1 and jobs=[jmax] are byte-identical and the
+     result is equivalent to the starting network;
+   - memocheck (6): memo on and off are byte-identical, the memo-on
+     references hit the memo somewhere, and no memo-off run ticks the
+     memo counters;
+   - shardcheck (7): every no-view run is byte-identical to the
+     reference, and on the quick suite the four division methods' totals
+     are pinned to [expected_quick_totals];
+   - dccheck (8): an empty view is invisible at every grid point, the
+     fixture's DC runs are deterministic, and each Boolean method meets
+     its fixture floor while verifying modulo the view;
+   - kcheck (10): every reference verifies with the BDD oracle (exact,
+     independent of [Equiv]'s simulation), resub-k is byte-identical
+     across the grid and on the quick suite meets the ext floor, and
+     resub-k's candidate-construction CPU stays below ext's division
+     CPU (exact validation is accounted separately — it replaces the
+     per-candidate division work the signatures used to gate).
+   Every family prints its verdict; the exit code is the first failing
+   family's, in the order above. *)
+let grid_check ~pinned rows =
+  let jmax = max 4 (Rar_util.Pool.default_jobs ()) in
+  section
+    (Printf.sprintf
+       "gridcheck - jobs {1,2,8,%d} x memo {on,off} x view {none,empty} + \
+        dcrich"
+       jmax);
+  let plain_points =
+    if List.mem (jmax, true) grid_points then grid_points
+    else grid_points @ [ (jmax, true) ]
   in
-  let failures = ref 0 in
+  let jobs_failed = ref 0 and memo_failed = ref 0 and shard_failed = ref 0 in
+  let dc_failed = ref 0 and k_failed = ref 0 in
   let totals = Hashtbl.create 7 in
+  let add_total name lits =
+    Hashtbl.replace totals name
+      ((try Hashtbl.find totals name with Not_found -> 0) + lits)
+  in
+  let total name = try Hashtbl.find totals name with Not_found -> 0 in
+  let totals_par = ref 0 in
+  let hits_on = ref 0 and hits_off = ref 0 and misses_off = ref 0 in
+  let construct_cpu = ref 0.0 and validate_cpu = ref 0.0 in
+  let ext_division = ref 0.0 in
+  let count field run = Atomic.get (field run.counters) in
+  (* The points whose run differs from the reference's text or id
+     allocator: the scheduler replays id burns so that every run stays
+     id-for-id with jobs=1, even where no later node name shows it. *)
+  let diverging reference runs =
+    List.filter_map
+      (fun (point, run) ->
+        if String.equal run.text reference.text && run.ids = reference.ids
+        then None
+        else Some point)
+      runs
+  in
+  let report label name diverged =
+    List.iter
+      (fun point ->
+        Printf.printf "  %-12s %-8s DIVERGES at %s\n" label name
+          (point_to_string point))
+      diverged
+  in
   List.iter
     (fun row ->
       let net = Suite.build row in
       Synth.Script.run net Synth.Script.script_a;
       List.iter
         (fun (name, meth) ->
-          let reference = Network.copy net in
-          Synth.Script.resub_command ~jobs:1 ~use_memo:true meth reference;
-          let ref_str = Network.to_string reference in
-          let lits = Lit_count.factored reference in
-          Hashtbl.replace totals name
-            ((try Hashtbl.find totals name with Not_found -> 0) + lits);
-          let diverged =
-            List.filter
+          let reference = grid_run ~jobs:1 ~use_memo:true meth net in
+          let equivalent = Equiv.equivalent reference.net net in
+          let bdd_ok = Robdd.Of_network.equivalent reference.net net in
+          let plain =
+            List.map
               (fun (jobs, use_memo) ->
-                let scratch = Network.copy net in
-                Synth.Script.resub_command ~jobs ~use_memo meth scratch;
-                Network.to_string scratch <> ref_str)
-              grid
+                ((jobs, use_memo, "none"), grid_run ~jobs ~use_memo meth net))
+              plain_points
           in
-          if diverged <> [] then begin
-            incr failures;
-            List.iter
+          let empty =
+            List.map
               (fun (jobs, use_memo) ->
-                Printf.printf "  %-12s %-8s DIVERGES at jobs=%d memo=%b\n"
-                  row.Suite.name name jobs use_memo)
-              diverged
-          end
-          else
-            Printf.printf "  %-12s %-8s %4d lits  identical across grid\n"
-              row.Suite.name name lits)
+                ( (jobs, use_memo, "empty"),
+                  grid_run ~dc:(Logic_network.Dont_care.create ()) ~jobs
+                    ~use_memo meth net ))
+              grid_points
+          in
+          let plain_diverged = diverging reference plain in
+          let empty_diverged = diverging reference empty in
+          let agrees point = not (List.mem point plain_diverged) in
+          List.iter
+            (fun ((_, use_memo, _), run) ->
+              if not use_memo then begin
+                hits_off := !hits_off + count (fun c -> c.memo_hits) run;
+                misses_off := !misses_off + count (fun c -> c.memo_misses) run
+              end)
+            (plain @ empty);
+          add_total name reference.lits;
+          totals_par :=
+            !totals_par + (List.assoc (jmax, true, "none") plain).lits;
+          let hits = count (fun c -> c.memo_hits) reference in
+          hits_on := !hits_on + hits;
+          (match meth with
+          | Synth.Script.Ext ->
+            ext_division :=
+              !ext_division +. count (fun c -> c.division_seconds) reference
+          | Synth.Script.Kresub ->
+            construct_cpu :=
+              !construct_cpu +. count (fun c -> c.filter_seconds) reference;
+            validate_cpu :=
+              !validate_cpu +. count (fun c -> c.validation_seconds) reference;
+            if plain_diverged <> [] then incr k_failed
+          | Synth.Script.Algebraic | Synth.Script.Basic
+          | Synth.Script.Ext_gdc ->
+            ());
+          if not (equivalent && agrees (jmax, true, "none")) then
+            incr jobs_failed;
+          if not (agrees (1, false, "none")) then incr memo_failed;
+          if plain_diverged <> [] then incr shard_failed;
+          if empty_diverged <> [] then incr dc_failed;
+          if not bdd_ok then incr k_failed;
+          report row.Suite.name name (plain_diverged @ empty_diverged);
+          Printf.printf "  %-12s %-8s %4d lits  BDD %s  %s  (%d memo hits)\n"
+            row.Suite.name name reference.lits
+            (if bdd_ok then "ok" else "FAIL")
+            (if not equivalent then "NOT EQUIVALENT"
+             else if plain_diverged @ empty_diverged <> [] then "DIVERGES"
+             else "identical across grid")
+            hits)
         Synth.Script.resub_methods)
     rows;
-  if pinned then
+  Printf.printf "literal totals: jobs=1 %d, jobs=%d %d\n"
+    (Hashtbl.fold (fun _ lits acc -> acc + lits) totals 0)
+    jmax !totals_par;
+  Printf.printf "memo hits: %d with memo, %d without (misses without: %d)\n"
+    !hits_on !hits_off !misses_off;
+  if !hits_on = 0 || !hits_off > 0 || !misses_off > 0 then incr memo_failed;
+  if pinned then begin
     List.iter
       (fun (name, expect) ->
-        let got = try Hashtbl.find totals name with Not_found -> 0 in
-        Printf.printf "  total %-8s %4d lits (expected %d)\n" name got
+        Printf.printf "  total %-8s %4d lits (expected %d)\n" name (total name)
           expect;
-        if got <> expect then incr failures)
+        if total name <> expect then incr shard_failed)
       expected_quick_totals;
-  if !failures > 0 then begin
-    Printf.printf "shardcheck: %d cell(s) FAILED\n" !failures;
-    exit 7
-  end
-  else
+    Printf.printf "  total %-8s %4d lits (floor: <= %d, the ext total)\n"
+      "resub-k" (total "resub-k") kresub_quick_floor;
+    if total "resub-k" > kresub_quick_floor then incr k_failed
+  end;
+  Printf.printf
+    "  cpu: resub-k construction %.3fs + validation %.3fs | ext division \
+     %.3fs\n"
+    !construct_cpu !validate_cpu !ext_division;
+  if !ext_division > 0.0 && !construct_cpu >= !ext_division then begin
     Printf.printf
-      "shardcheck: every cell byte-identical across the jobs x memo grid\n"
+      "  resub-k candidate construction is not cheaper than ext division\n";
+    incr k_failed
+  end;
+  (* The DC-rich fixture: deterministic DC runs, floors modulo the view. *)
+  let scripted, dc, refs = dc_fixture_refs () in
+  List.iter
+    (fun (name, meth, plain, with_dc, verified) ->
+      let diverged =
+        diverging with_dc
+          (List.map
+             (fun (jobs, use_memo) ->
+               ( (jobs, use_memo, "dcrich"),
+                 grid_run ~dc ~jobs ~use_memo meth scripted ))
+             grid_points)
+      in
+      report "dcrich" name diverged;
+      let floor =
+        Option.value ~default:0 (List.assoc_opt name dc_fixture_floor)
+      in
+      let ok = with_dc.lits <= plain.lits - floor && verified in
+      Printf.printf
+        "  dcrich       %-8s %4d -> %4d lits (floor %d)  verify-modulo-DC \
+         %s  %s\n"
+        name plain.lits with_dc.lits floor
+        (if verified then "pass" else "FAIL")
+        (if ok && diverged = [] then "ok" else "FAIL");
+      if not ok then incr dc_failed;
+      if diverged <> [] then incr dc_failed)
+    refs;
+  let verdicts =
+    [
+      ( 4,
+        !jobs_failed,
+        Printf.sprintf "jobscheck: %d cell(s) FAILED the determinism gate"
+          !jobs_failed,
+        "jobscheck: all cells bit-identical and equivalence-checked" );
+      ( 6,
+        !memo_failed,
+        "memocheck FAILED",
+        "memocheck: all cells bit-identical; memo active when on, inert when \
+         off" );
+      ( 7,
+        !shard_failed,
+        Printf.sprintf "shardcheck: %d cell(s) FAILED" !shard_failed,
+        "shardcheck: every cell byte-identical across the jobs x memo grid" );
+      ( 8,
+        !dc_failed,
+        Printf.sprintf "dccheck: %d check(s) FAILED" !dc_failed,
+        "dccheck: empty views invisible, DC runs deterministic, fixture \
+         floors met" );
+      ( 10,
+        !k_failed,
+        Printf.sprintf "kcheck: %d check(s) FAILED" !k_failed,
+        "kcheck: BDD-verified, byte-identical across the grid, floor met" );
+    ]
+  in
+  List.iter
+    (fun (_, failed, fail, pass) ->
+      print_endline (if failed > 0 then fail else pass))
+    verdicts;
+  match List.find_opt (fun (_, failed, _, _) -> failed > 0) verdicts with
+  | Some (code, _, _, _) -> exit code
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* tracecheck - degraded runs must complete and trace valid JSON lines *)
@@ -1366,287 +1472,6 @@ let trace_check rows =
     Printf.printf
       "tracecheck: degraded runs equivalent, trace well-formed, \
        degradations, memo and checkpoint passes recorded\n"
-
-(* ------------------------------------------------------------------ *)
-(* memocheck - division memo must be invisible in results              *)
-(* ------------------------------------------------------------------ *)
-
-(* The memo may skip a division attempt only when the recorded failure
-   is provably a replay, so memo-on and memo-off runs must produce
-   byte-identical networks. Gate: every (circuit, method) cell matches,
-   the memo-on sweep actually skipped work somewhere (memo_hits > 0),
-   and the memo-off sweep never ticked the memo counters. *)
-let memo_check rows =
-  section "memocheck - memo-on vs --no-memo bit-identity gate";
-  let failures = ref 0 in
-  let hits_on = ref 0 and hits_off = ref 0 and misses_off = ref 0 in
-  List.iter
-    (fun row ->
-      let base = Suite.build row in
-      Synth.Script.run base Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let once use_memo =
-            let scratch = Network.copy base in
-            let counters = Rar_util.Counters.create () in
-            Synth.Script.resub_command ~use_memo ~counters meth scratch;
-            (scratch, counters)
-          in
-          let net_on, c_on = once true in
-          let net_off, c_off = once false in
-          hits_on := !hits_on + Atomic.get c_on.Rar_util.Counters.memo_hits;
-          hits_off := !hits_off + Atomic.get c_off.Rar_util.Counters.memo_hits;
-          misses_off := !misses_off + Atomic.get c_off.Rar_util.Counters.memo_misses;
-          let same =
-            Network.to_string net_on = Network.to_string net_off
-            && Lit_count.factored net_on = Lit_count.factored net_off
-          in
-          if not same then incr failures;
-          Printf.printf "  %-12s %-8s %4d lits  %s  (%d hits)\n"
-            row.Suite.name name
-            (Lit_count.factored net_on)
-            (if same then "identical" else "DIVERGED")
-            (Atomic.get c_on.Rar_util.Counters.memo_hits))
-        Synth.Script.resub_methods)
-    rows;
-  Printf.printf "memo hits: %d with memo, %d without (misses without: %d)\n"
-    !hits_on !hits_off !misses_off;
-  if !failures > 0 || !hits_on = 0 || !hits_off > 0 || !misses_off > 0
-  then begin
-    Printf.printf "memocheck FAILED\n";
-    exit 6
-  end
-  else
-    Printf.printf
-      "memocheck: all cells bit-identical; memo active when on, inert \
-       when off\n"
-
-(* ------------------------------------------------------------------ *)
-(* dccheck - external don't-care discipline gate                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The don't-care discipline, gated:
-   1. an {e empty} view is invisible — byte-identical networks across
-      the jobs x memo grid against the no-view reference, with the
-      quick-suite totals pinned to the shardcheck figures;
-   2. a non-empty view is deterministic — the fixture's DC run is
-      byte-identical across the same grid;
-   3. on the DC-rich fixture every Boolean method meets its improvement
-      floor, never regresses, and the result verifies modulo DC. *)
-let dc_check ~pinned rows =
-  section "dccheck - external don't-care discipline gate";
-  let grid = [ (1, false); (2, true); (2, false); (8, true); (8, false) ] in
-  let failures = ref 0 in
-  let totals = Hashtbl.create 7 in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let reference = Network.copy net in
-          Synth.Script.resub_command ~jobs:1 ~use_memo:true meth reference;
-          let ref_str = Network.to_string reference in
-          let lits = Lit_count.factored reference in
-          Hashtbl.replace totals name
-            ((try Hashtbl.find totals name with Not_found -> 0) + lits);
-          let diverged =
-            List.filter
-              (fun (jobs, use_memo) ->
-                let scratch = Network.copy net in
-                let empty = Logic_network.Dont_care.create () in
-                Synth.Script.resub_command ~jobs ~use_memo ~dc:empty meth
-                  scratch;
-                Network.to_string scratch <> ref_str)
-              grid
-          in
-          if diverged <> [] then begin
-            incr failures;
-            List.iter
-              (fun (jobs, use_memo) ->
-                Printf.printf
-                  "  %-12s %-8s empty view DIVERGES at jobs=%d memo=%b\n"
-                  row.Suite.name name jobs use_memo)
-              diverged
-          end
-          else
-            Printf.printf
-              "  %-12s %-8s %4d lits  empty view invisible across grid\n"
-              row.Suite.name name lits)
-        Synth.Script.resub_methods)
-    rows;
-  if pinned then
-    List.iter
-      (fun (name, expect) ->
-        let got = try Hashtbl.find totals name with Not_found -> 0 in
-        Printf.printf "  total %-8s %4d lits (expected %d)\n" name got expect;
-        if got <> expect then incr failures)
-      expected_quick_totals;
-  (* Non-empty view: deterministic across the grid. *)
-  let fnet, fdc = dc_fixture () in
-  Synth.Script.run fnet Synth.Script.script_a;
-  List.iter
-    (fun (name, meth) ->
-      let reference = Network.copy fnet in
-      Synth.Script.resub_command ~jobs:1 ~use_memo:true ~dc:fdc meth
-        reference;
-      let ref_str = Network.to_string reference in
-      let diverged =
-        List.filter
-          (fun (jobs, use_memo) ->
-            let scratch = Network.copy fnet in
-            Synth.Script.resub_command ~jobs ~use_memo ~dc:fdc meth scratch;
-            Network.to_string scratch <> ref_str)
-          grid
-      in
-      if diverged <> [] then begin
-        incr failures;
-        List.iter
-          (fun (jobs, use_memo) ->
-            Printf.printf
-              "  dcrich       %-8s DC run DIVERGES at jobs=%d memo=%b\n" name
-              jobs use_memo)
-          diverged
-      end
-      else
-        Printf.printf "  dcrich       %-8s DC run identical across grid\n"
-          name)
-    Synth.Script.resub_methods;
-  (* DC-rich fixture: improvement floor + verify modulo DC. *)
-  List.iter
-    (fun (name, plain, with_dc, verified) ->
-      let floor = Option.value ~default:0 (List.assoc_opt name dc_fixture_floor) in
-      let ok = with_dc <= plain - floor && verified in
-      Printf.printf
-        "  dcrich       %-8s %4d -> %4d lits (floor %d)  verify-modulo-DC \
-         %s  %s\n"
-        name plain with_dc floor
-        (if verified then "pass" else "FAIL")
-        (if ok then "ok" else "FAIL");
-      if not ok then incr failures)
-    (dc_fixture_cells ());
-  if !failures > 0 then begin
-    Printf.printf "dccheck: %d check(s) FAILED\n" !failures;
-    exit 8
-  end
-  else
-    Printf.printf
-      "dccheck: empty views invisible, DC runs deterministic, fixture \
-       floors met\n"
-
-(* ------------------------------------------------------------------ *)
-(* kcheck - constructive k-resubstitution gate                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The resub-k quick-suite literal ceiling: the constructive driver
-   must do at least as well as extended division (the "ext" column of
-   [expected_quick_totals]). *)
-let kresub_quick_floor = 239
-
-(* Gates for the constructive k-resub driver:
-   1. every method's jobs=1 memo-on result is verified with the BDD
-      oracle ({!Robdd.Of_network.equivalent}) — an exact check,
-      independent of the random-simulation [Equiv] the other gates use,
-      so every committed substitution is proven, not sampled;
-   2. on the quick suite the four existing methods stay pinned to the
-      shardcheck totals and resub-k's total meets the ext floor;
-   3. resub-k is byte-identical across jobs {1,2,8} x memo {on,off};
-   4. resub-k's candidate-construction CPU stays below ext's division
-      CPU (exact validation is accounted separately — it replaces the
-      per-candidate division work the signatures used to gate). *)
-let k_check ~pinned rows =
-  section "kcheck - constructive k-resub: BDD verify + identity + floor";
-  let grid = [ (1, false); (2, true); (2, false); (8, true); (8, false) ] in
-  let failures = ref 0 in
-  let totals = Hashtbl.create 7 in
-  let construct_cpu = ref 0.0 and validate_cpu = ref 0.0 in
-  let ext_division = ref 0.0 in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      List.iter
-        (fun (name, meth) ->
-          let reference = Network.copy net in
-          let counters = Rar_util.Counters.create () in
-          Synth.Script.resub_command ~jobs:1 ~use_memo:true ~counters meth
-            reference;
-          let lits = Lit_count.factored reference in
-          Hashtbl.replace totals name
-            ((try Hashtbl.find totals name with Not_found -> 0) + lits);
-          (match meth with
-          | Synth.Script.Ext ->
-            ext_division :=
-              !ext_division
-              +. Atomic.get counters.Rar_util.Counters.division_seconds
-          | Synth.Script.Kresub ->
-            construct_cpu :=
-              !construct_cpu
-              +. Atomic.get counters.Rar_util.Counters.filter_seconds;
-            validate_cpu :=
-              !validate_cpu
-              +. Atomic.get counters.Rar_util.Counters.validation_seconds
-          | Synth.Script.Algebraic | Synth.Script.Basic
-          | Synth.Script.Ext_gdc ->
-            ());
-          let bdd_ok = Robdd.Of_network.equivalent reference net in
-          if not bdd_ok then incr failures;
-          let grid_ok =
-            match meth with
-            | Synth.Script.Kresub ->
-              let ref_str = Network.to_string reference in
-              List.for_all
-                (fun (jobs, use_memo) ->
-                  let scratch = Network.copy net in
-                  Synth.Script.resub_command ~jobs ~use_memo meth scratch;
-                  String.equal (Network.to_string scratch) ref_str)
-                grid
-            | Synth.Script.Algebraic | Synth.Script.Basic | Synth.Script.Ext
-            | Synth.Script.Ext_gdc ->
-              true
-          in
-          if not grid_ok then incr failures;
-          Printf.printf "  %-12s %-8s %4d lits  BDD %s%s\n" row.Suite.name
-            name lits
-            (if bdd_ok then "ok" else "FAIL")
-            (match meth with
-            | Synth.Script.Kresub ->
-              if grid_ok then "  identical across jobs x memo grid"
-              else "  DIVERGES across grid"
-            | Synth.Script.Algebraic | Synth.Script.Basic | Synth.Script.Ext
-            | Synth.Script.Ext_gdc ->
-              ""))
-        Synth.Script.resub_methods)
-    rows;
-  if pinned then begin
-    List.iter
-      (fun (name, expect) ->
-        let got = try Hashtbl.find totals name with Not_found -> 0 in
-        Printf.printf "  total %-8s %4d lits (expected %d)\n" name got
-          expect;
-        if got <> expect then incr failures)
-      expected_quick_totals;
-    let got_k = try Hashtbl.find totals "resub-k" with Not_found -> 0 in
-    Printf.printf "  total %-8s %4d lits (floor: <= %d, the ext total)\n"
-      "resub-k" got_k kresub_quick_floor;
-    if got_k > kresub_quick_floor then incr failures
-  end;
-  Printf.printf
-    "  cpu: resub-k construction %.3fs + validation %.3fs | ext division \
-     %.3fs\n"
-    !construct_cpu !validate_cpu !ext_division;
-  if !ext_division > 0.0 && !construct_cpu >= !ext_division then begin
-    Printf.printf
-      "  resub-k candidate construction is not cheaper than ext division\n";
-    incr failures
-  end;
-  if !failures > 0 then begin
-    Printf.printf "kcheck: %d check(s) FAILED\n" !failures;
-    exit 10
-  end
-  else
-    Printf.printf
-      "kcheck: BDD-verified, byte-identical across the grid, floor met\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel benches - one per table                                    *)
@@ -2113,6 +1938,13 @@ let aig_bench ~jobs () =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let sections =
+  [
+    "fig1"; "fig2"; "table1"; "fig4"; "table2"; "table3"; "table4"; "table5";
+    "ablation"; "bech"; "bench"; "gridcheck"; "tracecheck"; "cubeops";
+    "servicecheck"; "service"; "aigcheck"; "aig";
+  ]
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (* key=value tokens steer the bench snapshot; plain words select
@@ -2162,6 +1994,12 @@ let () =
   let quick = List.mem "quick" args in
   let rows = if quick then Suite.quick_rows else Suite.rows in
   let explicit = List.filter (fun a -> a <> "quick") args in
+  (match List.filter (fun a -> not (List.mem a sections)) explicit with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "main.exe: unknown section(s): %s\nsections: %s\n"
+      (String.concat " " unknown) (String.concat " " sections);
+    exit 1);
   let selected name = explicit = [] || List.mem name explicit in
   if selected "fig1" then fig1 ();
   if selected "fig2" then fig2 ();
@@ -2181,12 +2019,8 @@ let () =
   if selected "table5" then table_v rows;
   if selected "ablation" then ablations ();
   if selected "bech" then bechamel ();
-  if List.mem "jobscheck" explicit then jobs_check rows;
-  if List.mem "shardcheck" explicit then shard_check ~pinned:quick rows;
+  if List.mem "gridcheck" explicit then grid_check ~pinned:quick rows;
   if List.mem "tracecheck" explicit then trace_check rows;
-  if List.mem "memocheck" explicit then memo_check rows;
-  if List.mem "dccheck" explicit then dc_check ~pinned:quick rows;
-  if List.mem "kcheck" explicit then k_check ~pinned:quick rows;
   if List.mem "cubeops" explicit then cubeops_report ();
   if List.mem "servicecheck" explicit then service_check rows;
   if List.mem "service" explicit then service_bench ~clients rows;

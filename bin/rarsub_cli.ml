@@ -161,14 +161,7 @@ let show_cmd =
 (* optimize                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let scripts =
-  [
-    ("none", []);
-    ("a", Synth.Script.script_a);
-    ("b", Synth.Script.script_b);
-    ("c", Synth.Script.script_c);
-    ("algebraic", Synth.Script.script_algebraic);
-  ]
+let scripts = Rar_service.Job.scripts
 
 (* Method table: every entry takes the filter toggle and a counters
    record so optimize can report how much work the signature filter
@@ -678,7 +671,9 @@ let optimize_aig_cmd =
 (* Submit one job to a running rarsubd and print the optimised BLIF on
    stdout (stderr carries the summary, so stdout pipes clean). The
    request mirrors the optimize flags; the daemon guarantees the reply
-   is byte-identical to the corresponding cold [optimize -o] run. *)
+   is byte-identical to a cold [optimize -f FILE -o] run on the same
+   BLIF text ([-c NAME] is sent as BLIF text, so it matches [optimize -f]
+   on that text, not [optimize -c NAME]). *)
 let client_cmd =
   let read_all ic =
     let buf = Buffer.create 4096 in

@@ -43,9 +43,13 @@ let run socket jobs no_cache cache_entries cache_bytes max_frame deadline
       2
     | server ->
       Rar_service.Server.install_signal_handlers server;
-      Printf.eprintf "rarsubd: listening on %s (%s workers, cache %s)\n%!"
-        socket
-        (if jobs = 0 then "auto" else string_of_int jobs)
+      let pool =
+        if jobs = 0 then Rar_util.Pool.default_jobs () else max 1 jobs
+      in
+      Printf.eprintf "rarsubd: listening on %s (jobs %d: %s, cache %s)\n%!"
+        socket pool
+        (if pool = 1 then "jobs run on the event loop"
+         else Printf.sprintf "%d worker domain(s)" (pool - 1))
         (if no_cache then "off" else "on");
       Rar_service.Server.serve server;
       let s = Rar_service.Server.stats server in
@@ -72,8 +76,9 @@ let jobs_arg =
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains (default $(b,0) = one per core). Jobs run \
-           concurrently across workers; each job may additionally shard \
+          "Pool size (default $(b,0) = one per core). A pool of N runs \
+           jobs concurrently on N-1 worker domains; at N = 1 each job \
+           runs on the event-loop domain. Each job may additionally shard \
            its own candidate evaluation.")
 
 let no_cache_flag =

@@ -133,7 +133,7 @@ let prepare ?warm (request : Protocol.request) =
           (* A wall-clock deadline can degrade the run nondeterministically;
              such outputs must never be served to a later job. Every flag
              that can change the output bytes is part of the identity;
-             [jobs] is provably output-neutral (the shardcheck grid) and
+             [jobs] is provably output-neutral (the gridcheck grid) and
              shared. The don't-care view enters through its canonical
              section text, so a DC job never shares a slot with a plain
              one (and two spellings of the same view share theirs). *)

@@ -2,11 +2,15 @@
 
     This is the single definition of a service job's behaviour, shared
     by the daemon's workers, the [servicecheck] gate and the stress
-    tests — so "byte-identical to a cold CLI run" is checked against
-    exactly the code the daemon executes. A job is: parse the BLIF, run
-    the starting script, run the resubstitution method with the request
-    flags, serialise the result ({!Logic_network.Blif.to_string}, the
-    same serialiser [rarsub optimize -o] uses).
+    tests — so "byte-identical to a cold [rarsub optimize -f] run on the
+    same BLIF text" is checked against exactly the code the daemon
+    executes. A job is: parse the BLIF, run the starting script, run the
+    resubstitution method with the request flags, serialise the result
+    ({!Logic_network.Blif.to_string}, the same serialiser
+    [rarsub optimize -o] uses). The guarantee is against [optimize -f],
+    not [optimize -c NAME]: a built-in circuit sent as BLIF text starts
+    from its write∘parse image, which can differ from the in-memory
+    network.
 
     {2 Warm per-worker state}
 

@@ -52,7 +52,9 @@ val default_request : blif:string -> request
 
 type response =
   | Result of {
-      blif : string;  (** optimised circuit, byte-identical to a cold CLI run *)
+      blif : string;
+          (** optimised circuit, byte-identical to a cold
+              [rarsub optimize -f] run on the request's BLIF text *)
       literals : int;  (** factored-literal count of [blif] *)
       cache_hit : bool;
       counters : string;  (** {!Rar_util.Counters.to_json} snapshot *)

@@ -31,7 +31,12 @@
 
 type config = {
   socket_path : string;
-  jobs : int;  (** worker domains; [0] = {!Rar_util.Pool.default_jobs} *)
+  jobs : int;
+      (** pool size N passed to {!Rar_util.Pool.create}; [0] =
+          {!Rar_util.Pool.default_jobs}. The pool spawns N−1 worker
+          domains, and submitted jobs never run on the caller, so N ≥ 2
+          runs jobs on N−1 domains; at N = 1 there is no worker domain
+          and each job runs inline on the event-loop domain. *)
   cache : Cache.config option;  (** [None] disables the result cache *)
   max_frame : int;
   default_deadline : float option;

@@ -17,7 +17,7 @@
     pivot id) order; [jobs] parallelism happens {e inside} each
     window's resubstitution, which is bit-identical for any job count —
     so the whole run is byte-identical across the jobs grid, the same
-    property the [shardcheck]/[aigcheck] CI gates pin. *)
+    property the [gridcheck]/[aigcheck] CI gates pin. *)
 
 type config = {
   max_gates : int;  (** window size cap, gates (default 24) *)
