@@ -748,7 +748,7 @@ type scaling_cell = { sc_jobs : int; sc_wall : float }
 
 let scaling_jobs = [ 1; 2; 4; 8 ]
 
-(* The quantity the region scheduler targets: wall-clock of the
+(* The quantity the dividend scheduler targets: wall-clock of the
    quiescence passes (full fixpoint minus the same run capped at one
    pass) of both drivers, at each job count. Late passes commit little
    or nothing, so their whole-dividend scans parallelise without
@@ -1164,7 +1164,7 @@ let bench_json ?(path = "BENCH_resub.json") ?(jobs = 1) ?sim_seed ?sim_words
 (* ------------------------------------------------------------------ *)
 
 (* The quick-suite per-method factored-literal totals after Script A.
-   These are the seed's sequential figures; any drift means the region
+   These are the seed's sequential figures; any drift means the dividend
    scheduler (or the shared memo under it) changed a result. *)
 let expected_quick_totals =
   [ ("sis", 245); ("basic", 241); ("ext", 239); ("ext-gdc", 235) ]

@@ -1,6 +1,7 @@
 module Network = Logic_network.Network
 module Dirty = Logic_network.Dirty
 module Node_set = Network.Node_set
+module Counters = Rar_util.Counters
 
 type phase = Pos | Neg | Both
 
@@ -12,8 +13,6 @@ type reads = All_nodes | Nodes of Network.node_id array
 
 type entry = { at : int; reads : reads; burn : int }
 
-type dividend_entry = { d_at : int; d_gen : int; d_burn : int; d_units : int }
-
 (* The trailing int is the caller's refinement generation (0 for the
    division drivers): the kresub driver bumps it whenever a
    counterexample refines the signature vectors, which retires every
@@ -21,22 +20,17 @@ type dividend_entry = { d_at : int; d_gen : int; d_burn : int; d_units : int }
    Dirty clock. *)
 type key = Network.node_id * meth * target * int
 
-(* The failure table is striped so worker domains of the sharded
-   drivers can record and replay concurrently: each stripe owns a
-   disjoint slice of the key space behind its own mutex, so two lookups
-   only contend when their keys hash to the same stripe. 64 stripes is
-   far above any realistic worker count, and the per-operation critical
-   section is a single Hashtbl probe. *)
+(* The failure table is striped so worker domains can record and replay
+   concurrently: each stripe owns a disjoint slice of the key space
+   behind its own mutex, so two lookups only contend when their keys
+   hash to the same stripe. 64 stripes is far above any realistic worker
+   count, and the per-operation critical section is a single Hashtbl
+   probe. *)
 let n_stripes = 64
 
 type stripe = { lock : Mutex.t; entries : (key, entry) Hashtbl.t }
 
-type t = {
-  dirty : Dirty.t;
-  stripes : stripe array;
-  div_lock : Mutex.t;
-  dividends : (Network.node_id, dividend_entry) Hashtbl.t;
-}
+type t = { dirty : Dirty.t; stripes : stripe array }
 
 let reads_of_set s = Nodes (Array.of_list (Node_set.elements s))
 
@@ -48,17 +42,9 @@ let create dirty =
     stripes =
       Array.init n_stripes (fun _ ->
           { lock = Mutex.create (); entries = Hashtbl.create 61 });
-    div_lock = Mutex.create ();
-    dividends = Hashtbl.create 97;
   }
 
-let dirty t = t.dirty
-
 let stripe_of t key = t.stripes.(Hashtbl.hash key land (n_stripes - 1))
-
-let with_lock lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let fresh t at = function
   | All_nodes -> Dirty.clock t.dirty = at
@@ -72,14 +58,13 @@ let fresh t at = function
     done;
     !ok
 
-let replay_failure ?(gen = 0) t ~f target ~meth =
-  let key = (f, meth, target, gen) in
+let replay_failure t key =
   let s = stripe_of t key in
   (* The freshness test reads Dirty stamps, which only the driver's
      domain advances and never during a parallel batch — so running it
      under the stripe lock cannot deadlock and keeps the
      probe-test-evict sequence atomic against a concurrent record. *)
-  with_lock s.lock (fun () ->
+  Mutex.protect s.lock (fun () ->
       match Hashtbl.find_opt s.entries key with
       | None -> None
       | Some e ->
@@ -89,25 +74,30 @@ let replay_failure ?(gen = 0) t ~f target ~meth =
           None
         end)
 
-let record_failure ?(gen = 0) t ~f target ~meth ~reads ~burn =
-  let key = (f, meth, target, gen) in
+let record_failure t key e =
   let s = stripe_of t key in
-  let e = { at = Dirty.clock t.dirty; reads; burn } in
-  with_lock s.lock (fun () -> Hashtbl.replace s.entries key e)
+  Mutex.protect s.lock (fun () -> Hashtbl.replace s.entries key e)
 
-let replay_dividend ?(gen = 0) t ~f =
-  with_lock t.div_lock (fun () ->
-      match Hashtbl.find_opt t.dividends f with
-      | None -> None
-      | Some e ->
-        if Dirty.clock t.dirty = e.d_at && e.d_gen = gen then
-          Some (e.d_burn, e.d_units)
-        else begin
-          Hashtbl.remove t.dividends f;
-          None
-        end)
-
-let record_dividend ?(gen = 0) t ~f ~at ~burn ~units =
-  with_lock t.div_lock (fun () ->
-      Hashtbl.replace t.dividends f
-        { d_at = at; d_gen = gen; d_burn = burn; d_units = units })
+let attempt ?(gen = fun () -> 0) memo ~counters net ~f target ~meth ~reads
+    run =
+  match memo with
+  | None -> run ()
+  | Some t -> (
+    match replay_failure t (f, meth, target, gen ()) with
+    | Some burn ->
+      Counters.add counters.Counters.memo_hits 1;
+      if burn > 0 then Network.reserve_ids net burn;
+      false
+    | None ->
+      Counters.add counters.Counters.memo_misses 1;
+      let id0 = Network.id_limit net in
+      let landed = run () in
+      if not landed then
+        record_failure t
+          (f, meth, target, gen ())
+          {
+            at = Dirty.clock t.dirty;
+            reads = reads ();
+            burn = Network.id_limit net - id0;
+          };
+      landed)

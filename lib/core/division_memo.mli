@@ -1,4 +1,4 @@
-(** Revision-keyed memoisation of failed division attempts.
+(** Revision-keyed memoisation of failed resubstitution attempts.
 
     The fixpoint drivers re-attempt every (dividend, divisor) pair each
     pass; after the first pass most attempts are byte-for-byte replays
@@ -9,44 +9,46 @@
     past the recorded clock — the failure is then provably a replay
     (soundness argument in DESIGN.md §11).
 
-    Failed Boolean attempts burn node ids on the main network (a
-    transient quotient node advances the allocator, and node names are
-    derived from ids), so each entry records the id burn and the caller
-    must replay it with {!Logic_network.Network.reserve_ids} to keep
-    memo-on and memo-off runs bit-identical.
+    Every driver goes through {!attempt}, the one place that replays,
+    records and keeps the id burn. Failed Boolean attempts burn node ids
+    on the main network (a transient quotient node advances the
+    allocator, and node names are derived from ids), so each entry
+    records the id burn and a replay reserves it with
+    {!Logic_network.Network.reserve_ids}: memo-on and memo-off runs stay
+    bit-identical, at every [--jobs] value.
 
     The table's lifetime is one driver run: entries key on node ids,
     which are never recycled within a run.
 
-    The table is safe to share across worker domains: the failure table
-    is striped (a mutex per stripe, keys hashed onto stripes), the
-    dividend table sits behind one mutex, so a failure proven by one
-    region's worker is a hit in every other region. Freshness tests
-    read {!Logic_network.Dirty} stamps without locking them — sound
-    because the drivers only advance stamps on the scheduling domain,
-    never while a parallel batch is in flight. *)
+    The table is safe to share across worker domains: it is striped (a
+    mutex per stripe, keys hashed onto stripes), so a failure proven by
+    one worker is a hit in every other. Freshness tests read
+    {!Logic_network.Dirty} stamps without locking them — sound because
+    the drivers only advance stamps on the scheduling domain, never
+    while a parallel batch is in flight. *)
 
-module Node_set = Logic_network.Network.Node_set
+module Network = Logic_network.Network
 
 type t
 
 type phase = Pos | Neg | Both
 (** Which polarity of the divisor the attempt covered. [Both] keys
-    whole Boolean units that internally try both phases. *)
+    whole units that internally try both phases. *)
 
 type meth = Algebraic | Boolean | Kresub
-(** [Kresub] keys the constructive simulation-guided driver's entries
-    apart from the division drivers sharing the same table. *)
+(** [Kresub] keys the constructive simulation-guided driver's
+    whole-dividend scans ([Divisor (f, Both)]) apart from the division
+    drivers sharing the same table. *)
 
 type target =
-  | Divisor of Logic_network.Network.node_id * phase
-  | Pool of Logic_network.Network.node_id list
+  | Divisor of Network.node_id * phase
+  | Pool of Network.node_id list
       (** multi-divisor extended unit; the pool list is part of the key *)
 
 type reads
 (** What a recorded attempt could have read. *)
 
-val reads_of_set : Node_set.t -> reads
+val reads_of_set : Network.Node_set.t -> reads
 
 val all_nodes : reads
 (** For attempts whose read set cannot be bounded (global-don't-care
@@ -55,51 +57,28 @@ val all_nodes : reads
 
 val create : Logic_network.Dirty.t -> t
 
-val dirty : t -> Logic_network.Dirty.t
-
-val replay_failure :
-  ?gen:int ->
-  t ->
-  f:Logic_network.Network.node_id ->
+val attempt :
+  ?gen:(unit -> int) ->
+  t option ->
+  counters:Rar_util.Counters.t ->
+  Network.t ->
+  f:Network.node_id ->
   target ->
   meth:meth ->
-  int option
-(** [Some burn] iff a failure with this key is recorded and every read
-    stamp is still at or below the recorded clock; the caller must
-    reserve [burn] ids. Stale entries are dropped as a side effect.
-    [gen] (default 0) is part of the key: the kresub driver passes its
+  reads:(unit -> reads) ->
+  (unit -> bool) ->
+  bool
+(** [attempt memo ~counters net ~f target ~meth ~reads run] runs one
+    memoised attempt on [net] and returns whether it landed. With
+    [memo = None] it is just [run ()]. Otherwise, when a fresh failure
+    is recorded for the key, its id burn is reserved on [net],
+    [memo_hits] ticks and the result is [false] without running.
+    Failing that, [memo_misses] ticks, [run ()] executes, and when it
+    returns [false] the failure is recorded at the current clock with
+    [reads ()] and the id-limit delta [run] caused as its burn. A failed
+    [run] must leave [net] as it found it, modulo that burn.
+
+    [gen] (default constant 0) is part of the key, read before the
+    lookup and again at record time: the kresub driver passes its
     refinement generation so failures proven against pre-refinement
     signatures never replay once a counterexample sharpened them. *)
-
-val record_failure :
-  ?gen:int ->
-  t ->
-  f:Logic_network.Network.node_id ->
-  target ->
-  meth:meth ->
-  reads:reads ->
-  burn:int ->
-  unit
-(** Record a failure observed at the current clock. Only call when the
-    attempt left the network bit-identical to its pre-attempt state
-    (modulo the id burn). *)
-
-val replay_dividend :
-  ?gen:int -> t -> f:Logic_network.Network.node_id -> (int * int) option
-(** [Some (burn, units)] iff a whole dividend scan for [f] was recorded
-    and the clock has not moved at all since — and, when [gen] is given,
-    the entry was recorded at the same refinement generation: every unit
-    of the scan is then individually a provable replay, so the whole
-    scan can be skipped after reserving [burn] ids. [units] is how many
-    attempts the scan covered (for the hit counter). *)
-
-val record_dividend :
-  ?gen:int ->
-  t ->
-  f:Logic_network.Network.node_id ->
-  at:int ->
-  burn:int ->
-  units:int ->
-  unit
-(** Record that the scan of dividend [f], started at clock [at],
-    committed nothing. Only call when the clock still equals [at]. *)

@@ -1,10 +1,6 @@
 module Network = Logic_network.Network
 module Node_set = Network.Node_set
 
-type region = { members : Network.node_id list; footprint : Node_set.t }
-
-type t = { regions : region array; owner : (Network.node_id, int) Hashtbl.t }
-
 let footprint net f =
   let tfi = Network.transitive_fanin net [ f ] in
   let tfo = Network.transitive_fanout net [ f ] in
@@ -14,100 +10,3 @@ let footprint net f =
      its closure in one sweep. *)
   let side = Network.transitive_fanin net (Node_set.elements tfo) in
   Node_set.union tfi (Node_set.union tfo side)
-
-(* First-owner union-find over regions: dividends are visited in
-   ascending id order; a footprint touching nodes already claimed by
-   earlier regions merges those regions (and this dividend) into the
-   lowest-numbered one. The visit order is canonical, so the grouping
-   is a pure function of the network structure. *)
-let shard net dividends =
-  let dividends = List.sort_uniq compare dividends in
-  let parent = ref [||] in
-  let rec find i =
-    let p = !parent.(i) in
-    if p = i then i
-    else begin
-      let root = find p in
-      !parent.(i) <- root;
-      root
-    end
-  in
-  let claimed : (Network.node_id, int) Hashtbl.t = Hashtbl.create 257 in
-  let group_members : (int, Network.node_id list ref) Hashtbl.t =
-    Hashtbl.create 97
-  in
-  let group_fp : (int, Node_set.t ref) Hashtbl.t = Hashtbl.create 97 in
-  List.iter
-    (fun f ->
-      let fp = footprint net f in
-      (* Which earlier groups does this footprint touch? *)
-      let touched =
-        Node_set.fold
-          (fun n acc ->
-            match Hashtbl.find_opt claimed n with
-            | Some g ->
-              let g = find g in
-              if List.mem g acc then acc else g :: acc
-            | None -> acc)
-          fp []
-      in
-      let g =
-        match touched with
-        | [] ->
-          let g = Array.length !parent in
-          parent := Array.append !parent [| g |];
-          Hashtbl.replace group_members g (ref []);
-          Hashtbl.replace group_fp g (ref Node_set.empty);
-          g
-        | first :: rest ->
-          (* Merge into the lowest-numbered touched group so region
-             numbering follows first appearance. *)
-          let g = List.fold_left min first rest in
-          List.iter
-            (fun other ->
-              if other <> g then begin
-                !parent.(other) <- g;
-                let om = Hashtbl.find group_members other
-                and gm = Hashtbl.find group_members g in
-                gm := !om @ !gm;
-                let ofp = Hashtbl.find group_fp other
-                and gfp = Hashtbl.find group_fp g in
-                gfp := Node_set.union !ofp !gfp
-              end)
-            (first :: rest);
-          g
-      in
-      let gm = Hashtbl.find group_members g in
-      gm := f :: !gm;
-      let gfp = Hashtbl.find group_fp g in
-      gfp := Node_set.union fp !gfp;
-      Node_set.iter (fun n -> Hashtbl.replace claimed n g) fp)
-    dividends;
-  (* Collect live roots, ordered by smallest member id. *)
-  let roots =
-    Hashtbl.fold
-      (fun g members acc ->
-        if find g = g then (List.fold_left min max_int !members, g) :: acc
-        else acc)
-      group_members []
-    |> List.sort compare
-  in
-  let regions =
-    Array.of_list
-      (List.map
-         (fun (_, g) ->
-           {
-             members = List.sort compare !(Hashtbl.find group_members g);
-             footprint = !(Hashtbl.find group_fp g);
-           })
-         roots)
-  in
-  let owner = Hashtbl.create (List.length dividends) in
-  Array.iteri
-    (fun i r -> List.iter (fun f -> Hashtbl.replace owner f i) r.members)
-    regions;
-  { regions; owner }
-
-let regions t = t.regions
-
-let region_of t f = Hashtbl.find t.owner f

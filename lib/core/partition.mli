@@ -1,46 +1,19 @@
-(** Fanout-disjoint region sharding for the parallel drivers.
+(** Structural footprints of dividends.
 
-    A pass of the resubstitution fixpoint visits a list of eligible
-    dividends. Two dividends can be scanned concurrently without any
-    conflict test at commit time iff their structural {e footprints} —
-    transitive fanin, transitive fanout, and the fanin of that fanout
-    (the side cones a rewrite of one can restructure or a scan of the
-    other can read) — are disjoint. This module groups a dividend list
-    into maximal regions with pairwise-disjoint footprints.
+    A scan of dividend [f] reads, and a commit at [f] can restamp, only
+    nodes in [f]'s structural {e footprint}: transitive fanin,
+    transitive fanout, and the fanin of that fanout (the side cones a
+    rewrite of [f] can restructure). {!Substitute} builds its snapshot
+    read closures on it, and the {!Scheduler} adds a committed
+    dividend's post-commit footprint to what the batch's commits may
+    have changed. The footprint is a pure function of the network
+    structure: no simulation signatures, seeds or revision stamps enter
+    it. *)
 
-    The shard is a pure function of the network {e structure}: no
-    simulation signatures, seeds, or revision stamps enter the
-    computation, and the dividend list is sorted internally, so the
-    result is deterministic and identical across [--sim-seed] values
-    and across job counts. The scheduler uses region identity as a
-    cheap static conflict test (same region ⇒ assume conflict, fall
-    back to the dynamic read-set check) and region disjointness as a
-    licence to keep speculative scans alive across commits. *)
-
-module Network = Logic_network.Network
-module Node_set = Network.Node_set
-
-type region = {
-  members : Network.node_id list;  (** dividends, ascending id order *)
-  footprint : Node_set.t;
-      (** union of the members' TFI ∪ TFO ∪ TFI(TFO) cones *)
-}
-
-type t
-
-val footprint : Network.t -> Network.node_id -> Node_set.t
+val footprint :
+  Logic_network.Network.t ->
+  Logic_network.Network.node_id ->
+  Logic_network.Network.Node_set.t
 (** [TFI(f) ∪ TFO(f) ∪ TFI(TFO(f))] — every node a scan of [f] can
     read through its own cones and every node a commit at [f] can
     restamp. Includes [f] itself. *)
-
-val shard : Network.t -> Network.node_id list -> t
-(** Group the dividends into regions with pairwise-disjoint
-    footprints. Every dividend lands in exactly one region; regions
-    are ordered by their smallest member id. Duplicate dividends are
-    collapsed. *)
-
-val regions : t -> region array
-
-val region_of : t -> Network.node_id -> int
-(** Index into {!regions} of the region owning this dividend.
-    @raise Not_found if the id was not in the sharded list. *)

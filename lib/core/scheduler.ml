@@ -22,7 +22,6 @@ type ctx = {
 
 type driver = {
   name : string;
-  scoped : bool;
   tally : int Atomic.t;
   generation : unit -> int;
   stop : unit -> bool;
@@ -33,11 +32,7 @@ type driver = {
    the frozen live network, with what resolving it needs. *)
 type spec = {
   verdict : verdict;
-  replayed : bool;
-      (* resolved from the dividend memo: its closure was not
-         recomputed, but lies inside the dividend's static region *)
   burn : int;  (* node ids the scan consumed *)
-  units : int;  (* memo hits + real attempts the scan resolved *)
   spec_counters : Counters.t;
   seconds : float;
 }
@@ -59,9 +54,6 @@ let deadline ?(trace = Trace.disabled) ~counters ~name = function
                 ];
               true
             end
-
-let units_of (c : Counters.t) =
-  Atomic.get c.Counters.memo_hits + Atomic.get c.Counters.memo_misses
 
 let run ?(trace = Trace.disabled) ~counters ~jobs ~use_memo ~max_passes net d
     =
@@ -87,81 +79,42 @@ let run ?(trace = Trace.disabled) ~counters ~jobs ~use_memo ~max_passes net d
   in
   (* One live step for one dividend: the sequential pass, and the
      re-execution of every snapshot verdict that does not resolve on its
-     own. With the memo on, a scan whose whole read closure is unchanged
-     since it last ran to quiescence is skipped outright, reserving its
-     total id burn; a fresh quiescent scan is recorded. Returns whether
-     the step invalidates later verdicts of a batch: it committed, or
-     moved the driver's generation. *)
+     own. Returns whether the step invalidates later verdicts of a
+     batch: it committed, or moved the driver's generation. *)
   let process ctx changed f =
     if d.stop () || not (Network.mem net f) then false
     else
       let gen0 = d.generation () in
-      let outcome =
-        match memo with
-        | None -> (d.scan ctx f).outcome
-        | Some m -> (
-          match Division_memo.replay_dividend ~gen:gen0 m ~f with
-          | Some (burn, units) ->
-            Counters.add counters.Counters.memo_hits units;
-            if burn > 0 then Network.reserve_ids net burn;
-            Quiet
-          | None ->
-            let clock0 = Dirty.clock (Division_memo.dirty m) in
-            let id0 = Network.id_limit net in
-            let units0 = units_of counters in
-            let v = d.scan ctx f in
-            if
-              v.outcome = Quiet
-              && Dirty.clock (Division_memo.dirty m) = clock0
-              && Network.mem net f
-            then
-              Division_memo.record_dividend ~gen:(d.generation ()) m ~f
-                ~at:clock0
-                ~burn:(Network.id_limit net - id0)
-                ~units:(units_of counters - units0);
-            v.outcome)
-      in
+      let outcome = (d.scan ctx f).outcome in
       if outcome = Committed then changed := true;
       outcome = Committed || d.generation () <> gen0
   in
   (* A whole-dividend scan on [snap], a private copy of the batch
      snapshot (taken after the pending list was filtered, so [f] is
-     live in it). Runs on a worker domain: it reads the shared memo
-     but writes only its own counters and snapshot. *)
-  let speculate snap ~gen ~nodes f =
+     live in it). Runs on a worker domain: it reads and records into
+     the shared memo but writes only its own counters and snapshot. *)
+  let speculate snap ~nodes f =
     let t0 = Unix.gettimeofday () in
     let wc = Counters.create () in
-    let finish ?(replayed = false) verdict ~burn ~units =
-      {
-        verdict;
-        replayed;
-        burn;
-        units;
-        spec_counters = wc;
-        seconds = Unix.gettimeofday () -. t0;
-      }
+    let id0 = Network.id_limit snap in
+    let verdict =
+      d.scan
+        {
+          net = snap;
+          live = false;
+          counters = wc;
+          memo;
+          speculating = (fun real -> real ());
+          nodes;
+        }
+        f
     in
-    match
-      Option.bind memo (fun m -> Division_memo.replay_dividend ~gen m ~f)
-    with
-    | Some (burn, units) ->
-      Counters.add wc.Counters.memo_hits units;
-      finish ~replayed:true { outcome = Quiet; reads = Unbounded } ~burn ~units
-    | None ->
-      let id0 = Network.id_limit snap in
-      let v =
-        d.scan
-          {
-            net = snap;
-            live = false;
-            counters = wc;
-            memo;
-            speculating = (fun real -> real ());
-            nodes;
-          }
-          f
-      in
-      finish v ~burn:(Network.id_limit snap - id0) ~units:(units_of wc)
+    {
+      verdict;
+      burn = Network.id_limit snap - id0;
+      spec_counters = wc;
+      seconds = Unix.gettimeofday () -. t0;
+    }
   in
   let waste r =
     Counters.add counters.Counters.speculative_wasted 1;
@@ -176,85 +129,43 @@ let run ?(trace = Trace.disabled) ~counters ~jobs ~use_memo ~max_passes net d
      have changed it (DESIGN.md §12); the rest are re-rounded. *)
   let pass_parallel pool_t changed nodes =
     let ctx = live_ctx nodes in
-    let jobs_n = Pool.jobs pool_t in
-    (* Static regions over the still-pending dividends (scoped drivers
-       only); recomputed after any commit, since a rewrite can
-       restructure cones across the old region boundaries. *)
-    let part = ref None in
     let rec drive pending =
       if d.stop () then ()
       else
         match List.filter (Network.mem net) pending with
         | [] -> ()
         | pending ->
-          let region_of =
-            if not d.scoped then fun _ -> None
-            else begin
-              let p =
-                match !part with
-                | Some p -> p
-                | None ->
-                  let p = Partition.shard net pending in
-                  part := Some p;
-                  p
-              in
-              fun f ->
-                match Partition.region_of p f with
-                | r -> Some r
-                | exception Not_found -> None
-            end
+          let rec take n acc = function
+            | f :: tl when n > 0 -> take (n - 1) (f :: acc) tl
+            | rest -> (List.rev acc, rest)
           in
-          (* Fill a batch up to [jobs_n] dividends, extending to twice
-             that while every member comes from a distinct region —
-             pairwise-disjoint footprints cannot invalidate one another,
-             so oversubscribing the pool with them is free. *)
-          let rec take acc regs n rest =
-            match rest with
-            | f :: tl when n < 2 * jobs_n ->
-              (* [regs]: the batch's regions while all distinct *)
-              let regs =
-                match (regs, region_of f) with
-                | Some rs, Some r when not (List.mem r rs) -> Some (r :: rs)
-                | _ -> None
-              in
-              if n < jobs_n || regs <> None then take (f :: acc) regs (n + 1) tl
-              else (List.rev acc, rest)
-            | _ -> (List.rev acc, rest)
-          in
-          let batch, rest = take [] (Some []) 0 pending in
+          let batch, rest = take (Pool.jobs pool_t) [] pending in
           (* One frozen snapshot per batch; each worker copies from it
              rather than from the live network ({!Network.copy} is a pure
              read of its source, so concurrent copies are race-free). *)
           let snap = Network.copy net in
-          let gen = d.generation () in
           let results =
             Pool.run pool_t
               (List.map
-                 (fun f () -> speculate (Network.copy snap) ~gen ~nodes f)
+                 (fun f () -> speculate (Network.copy snap) ~nodes f)
                  batch)
           in
+          (* What the batch's commits so far can have changed: the union
+             of their read closures and post-commit footprints, or
+             everything once one of them had no bounded closure. *)
           let c_accum = ref Node_set.empty in
           let c_unbounded = ref false in
-          let committed_regions = ref [] in
           let any_commit = ref false in
           let re_round = ref [] in
           List.iter2
             (fun f r ->
-              let other_region () =
-                match region_of f with
-                | Some reg -> not (List.mem reg !committed_regions)
-                | None -> false
-              in
               let survives =
                 (not !any_commit)
                 || (not !c_unbounded)
                    &&
-                   if r.replayed then other_region ()
-                   else
-                     match r.verdict.reads with
-                     | Unbounded -> false
-                     | Set reads ->
-                       other_region () || Node_set.disjoint !c_accum reads
+                   match r.verdict.reads with
+                   | Unbounded -> false
+                   | Set reads -> Node_set.disjoint !c_accum reads
               in
               if not survives then begin
                 waste r;
@@ -269,8 +180,7 @@ let run ?(trace = Trace.disabled) ~counters ~jobs ~use_memo ~max_passes net d
                 waste r;
                 if process ctx changed f then begin
                   any_commit := true;
-                  part := None;
-                  (match r.verdict.reads with
+                  match r.verdict.reads with
                   | Set reads ->
                     let post =
                       if Network.mem net f then Partition.footprint net f
@@ -278,25 +188,16 @@ let run ?(trace = Trace.disabled) ~counters ~jobs ~use_memo ~max_passes net d
                     in
                     c_accum :=
                       Node_set.union !c_accum (Node_set.union reads post)
-                  | Unbounded -> c_unbounded := true);
-                  match region_of f with
-                  | Some reg -> committed_regions := reg :: !committed_regions
-                  | None -> c_unbounded := true
+                  | Unbounded -> c_unbounded := true
                 end
               end
               else begin
                 (* A scan that found nothing, and whose re-run now would
                    provably find nothing: consume its id burn so the
-                   allocator stays id-for-id with jobs=1, fold its
-                   tallies, and remember the quiescent scan. *)
+                   allocator stays id-for-id with jobs=1, and fold its
+                   tallies. *)
                 Counters.accumulate counters r.spec_counters;
-                if r.burn > 0 then Network.reserve_ids net r.burn;
-                match memo with
-                | Some m when Network.mem net f ->
-                  Division_memo.record_dividend ~gen:(d.generation ()) m ~f
-                    ~at:(Dirty.clock (Division_memo.dirty m))
-                    ~burn:r.burn ~units:r.units
-                | _ -> ()
+                if r.burn > 0 then Network.reserve_ids net r.burn
               end)
             batch results;
           drive (List.rev !re_round @ rest)

@@ -9,15 +9,14 @@
     {ul
     {- the pass/fixpoint loop, with the [passes] / [pass_divisions]
        counters and the per-pass [memo] / [checkpoint] trace events;}
-    {- the dividend-level {!Division_memo} fast path: a scan that
-       committed nothing at clock [c] (and refinement generation [g])
-       is skipped while both still hold, reserving its recorded id
-       burn;}
-    {- at [jobs > 1], the worker pool's lifetime, one {!Network.copy}
-       snapshot per batch, speculative scans on private copies of it,
-       resolution in ascending id order with id-burn replay, the
-       survival / re-round rule, and [speculative_wasted] /
-       [speculative_seconds] accounting.}}
+    {- the run's {!Division_memo} and its Dirty tracker, handed to every
+       scan; the scans replay and record through {!Division_memo.attempt}
+       themselves;}
+    {- at [jobs > 1], the worker pool's lifetime, batches of [jobs]
+       dividends with one {!Network.copy} snapshot each, speculative
+       scans on private copies of it, resolution in ascending id order
+       with id-burn replay, the survival / re-round rule, and
+       [speculative_wasted] / [speculative_seconds] accounting.}}
 
     Determinism: a snapshot verdict that found nothing resolves by
     reserving its id burn; any other verdict is discarded and the scan
@@ -40,7 +39,10 @@ type outcome =
     survives a commit made earlier in the same batch. *)
 type reads =
   | Unbounded  (** anything: survives only while nothing commits *)
-  | Set of Network.Node_set.t  (** an explicit read closure *)
+  | Set of Network.Node_set.t
+      (** an explicit read closure: survives while it is disjoint from
+          the closure and post-commit {!Partition.footprint} of every
+          commit made earlier in the batch *)
 
 type verdict = { outcome : outcome; reads : reads }
 
@@ -66,28 +68,20 @@ type ctx = {
 
 type driver = {
   name : string;  (** the [driver] field of the per-pass [memo] event *)
-  scoped : bool;
-      (** whether scans stay inside structural cones, so verdicts may
-          report [Set] closures. Scoped drivers get region-aware
-          batching (up to [2 * jobs] dividends from distinct
-          {!Partition} regions), and their dividend-memo replays
-          survive commits in other regions; unscoped ones batch [jobs]
-          dividends and re-round everything after any commit. *)
   tally : int Atomic.t;
       (** the counter cell whose per-pass delta becomes
           [pass_divisions] *)
   generation : unit -> int;
       (** the driver's refinement generation (constant for drivers
           without one); a live scan that moves it invalidates the rest
-          of its batch, and it keys dividend-memo records *)
+          of its batch *)
   stop : unit -> bool;
       (** polled before every pass, batch and dividend; [true] halts
           the run with every committed rewrite standing *)
   scan : ctx -> Network.node_id -> verdict;
       (** one dividend scan; called only when the dividend is live in
-          [ctx.net] and the memo did not replay it. Burn and units are
-          measured around it: the id-limit delta and the
-          [memo_hits + memo_misses] delta of [ctx.counters]. *)
+          [ctx.net]. On a snapshot its burn is measured around it as the
+          id-limit delta. *)
 }
 
 val deadline :

@@ -409,33 +409,14 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
           (cones (Lazy.force !base)
              (match u with Div d -> [ d ] | Ext pool -> pool))
     in
-    (* Memoised unit attempt: skipped when the memo proves the recorded
-       failure would replay, reserving the recorded id burn so the
-       allocator (and hence every later node name) stays in lockstep with
-       a memo-off run. A failure a worker proves on its snapshot is a true
-       fact at the frozen clock, so it is recorded into the shared memo
-       even if the scan itself is later discarded. *)
+    (* Memoised unit attempt. A failure a worker proves on its snapshot
+       is a true fact at the frozen clock, so it is recorded into the
+       shared memo even if the scan itself is later discarded. *)
     let attempt u =
-      match ctx.memo with
-      | None -> run_unit f u
-      | Some m -> (
-        let target = unit_target u in
-        match
-          Division_memo.replay_failure m ~f target ~meth:Division_memo.Boolean
-        with
-        | Some burn ->
-          Counters.add ctx.counters.Counters.memo_hits 1;
-          if burn > 0 then Network.reserve_ids net burn;
-          false
-        | None ->
-          Counters.add ctx.counters.Counters.memo_misses 1;
-          let id0 = Network.id_limit net in
-          let ok = ctx.speculating (fun () -> run_unit f u) in
-          if not ok then
-            Division_memo.record_failure m ~f target
-              ~meth:Division_memo.Boolean ~reads:(unit_reads u)
-              ~burn:(Network.id_limit net - id0);
-          ok)
+      Division_memo.attempt ctx.memo ~counters:ctx.counters net ~f
+        (unit_target u) ~meth:Division_memo.Boolean
+        ~reads:(fun () -> unit_reads u)
+        (fun () -> ctx.speculating (fun () -> run_unit f u))
     in
     let landed = ref false in
     List.iter
@@ -477,10 +458,6 @@ let run ?(config = extended_config) ?fault_fuel ?deadline_at
         ~max_passes:config.max_passes net
         {
           Scheduler.name = "substitute";
-          (* Every configuration batches by region; GDC and unfiltered
-             scans report [Unbounded], so after a commit theirs are
-             re-rounded like an unscoped driver's. *)
-          scoped = true;
           tally = counters.Counters.divisions_attempted;
           generation = (fun () -> 0);
           stop = (fun () -> false);

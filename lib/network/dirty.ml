@@ -1,5 +1,3 @@
-module Node_set = Network.Node_set
-
 type snapshot = {
   s_fanins : Network.node_id array;
   s_cover : Twolevel.Cover.t option;  (* [None] for primary inputs *)
@@ -20,14 +18,11 @@ type t = {
   shadow : (Network.node_id, snapshot) Hashtbl.t;
   mutable io_order :
     Network.node_id list * (string * Network.node_id) list;
-  mutable pending : Node_set.t;
   mutable buffer : Network.mutation list option;
       (* Some (reversed events) while inside [speculating] *)
 }
 
-let touch t id =
-  Hashtbl.replace t.stamps id t.clock;
-  t.pending <- Node_set.add id t.pending
+let touch t id = Hashtbl.replace t.stamps id t.clock
 
 let snapshot_of t id =
   {
@@ -89,11 +84,7 @@ let apply t m =
       t.floor <- t.clock;
       Hashtbl.reset t.shadow;
       Hashtbl.reset t.stamps;
-      List.iter
-        (fun id ->
-          reshadow t id;
-          t.pending <- Node_set.add id t.pending)
-        (Network.node_ids t.net)
+      List.iter (fun id -> reshadow t id) (Network.node_ids t.net)
     end
     else begin
       let ids = Network.node_ids t.net in
@@ -145,7 +136,6 @@ let create net =
       stamps = Hashtbl.create 997;
       shadow = Hashtbl.create 997;
       io_order = (Network.inputs net, Network.outputs net);
-      pending = Node_set.empty;
       buffer = None;
     }
   in
@@ -194,8 +184,3 @@ let speculating t ~committed f =
     let events = flush_buffer t in
     List.iter (apply t) events;
     raise e
-
-let changes t =
-  let p = t.pending in
-  t.pending <- Node_set.empty;
-  p

@@ -53,8 +53,3 @@ val speculating : t -> committed:('a -> bool) -> (unit -> 'a) -> 'a
     restored the network to its pre-call state in that case. If [f]
     raises, the events are conservatively applied before re-raising.
     Calls must not nest. *)
-
-val changes : t -> Network.Node_set.t
-(** Nodes stamped since the previous call to [changes] (or since
-    {!create}); drains the pending set. Committed-rewrite worklist seed
-    for the drivers. *)

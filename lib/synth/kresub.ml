@@ -2,6 +2,7 @@ open Twolevel
 module Network = Logic_network.Network
 module Fanin_cache = Logic_network.Fanin_cache
 module Dont_care = Logic_network.Dont_care
+module Division_memo = Booldiv.Division_memo
 module Scheduler = Booldiv.Scheduler
 module Lit_count = Logic_network.Lit_count
 module Signature = Logic_sim.Signature
@@ -671,29 +672,42 @@ let run ?(max_divisors = default_max_divisors)
     try_shapes shapes
   in
   (* The scan of one dividend: restart after every live refinement (up
-     to [max_restarts]) until it commits or runs quiet. A snapshot scan
-     gets its own engines over [ctx.net]. The whole constructive scan is
-     one memo unit: it has no per-attempt entries. *)
+     to [max_restarts]) until it commits or runs quiet. The whole
+     constructive scan is one memo unit, keyed on the refinement
+     generation and valid only while the network is unchanged; the
+     lookup runs before a snapshot scan builds its own engines over
+     [ctx.net]. *)
   let scan (ctx : Scheduler.ctx) f =
-    if Option.is_some ctx.memo then
-      Counters.add ctx.counters.Counters.memo_misses 1;
-    let cache, sim, oracle =
-      if ctx.live then (cache, sim, oracle)
-      else
-        ( Fanin_cache.create ctx.net,
-          sim_create ~words:sim_words ~seed:sim_seed ?dc ctx.net,
-          ora_create ?dc ctx.net )
+    let outcome = ref Scheduler.Quiet in
+    let scan_all () =
+      let cache, sim, oracle =
+        if ctx.live then (cache, sim, oracle)
+        else
+          ( Fanin_cache.create ctx.net,
+            sim_create ~words:sim_words ~seed:sim_seed ?dc ctx.net,
+            ora_create ?dc ctx.net )
+      in
+      let rec go restarts =
+        match scan_once ctx ~cache ~sim ~oracle f with
+        | Scheduler.Refined when ctx.live && restarts < max_restarts ->
+          go (restarts + 1)
+        | Committed ->
+          Counters.add ctx.counters.Counters.substitutions 1;
+          Scheduler.Committed
+        | outcome -> outcome
+      in
+      outcome := go 0;
+      !outcome <> Quiet
     in
-    let rec go restarts =
-      match scan_once ctx ~cache ~sim ~oracle f with
-      | Scheduler.Refined when ctx.live && restarts < max_restarts ->
-        go (restarts + 1)
-      | Committed ->
-        Counters.add ctx.counters.Counters.substitutions 1;
-        Scheduler.Committed
-      | outcome -> outcome
-    in
-    { Scheduler.outcome = go 0; reads = Unbounded }
+    ignore
+      (Division_memo.attempt
+         ~gen:(fun () -> !gen)
+         ctx.memo ~counters:ctx.counters ctx.net ~f
+         (Division_memo.Divisor (f, Division_memo.Both))
+         ~meth:Division_memo.Kresub
+         ~reads:(fun () -> Division_memo.all_nodes)
+         scan_all);
+    { Scheduler.outcome = !outcome; reads = Unbounded }
   in
   let jobs = max 1 jobs in
   Trace.span trace "kresub"
@@ -702,7 +716,6 @@ let run ?(max_divisors = default_max_divisors)
       Scheduler.run ~trace ~counters ~jobs ~use_memo ~max_passes net
         {
           Scheduler.name = "kresub";
-          scoped = false;
           tally = counters.Counters.kresub_candidates;
           generation = (fun () -> !gen);
           stop;

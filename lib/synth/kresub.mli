@@ -28,12 +28,13 @@
     node's factored literal count strictly decreases; since candidates
     are covers over existing nodes, no attempt ever allocates a node id.
 
-    Passes, parallel runs ([jobs > 1]) and the dividend-level memo run
-    on {!Booldiv.Scheduler}, like every resubstitution driver; a
-    counterexample refinement invalidates speculative verdicts like a
-    commit does, and memo entries key on the refinement generation, so
-    [--jobs N] and [--no-memo] stay byte-identical to the sequential
-    memoised run. *)
+    Passes and parallel runs ([jobs > 1]) run on {!Booldiv.Scheduler},
+    like every resubstitution driver; a counterexample refinement
+    invalidates speculative verdicts like a commit does. The whole scan
+    of a dividend is one {!Booldiv.Division_memo} unit that replays
+    only while the network is unchanged and keys on the refinement
+    generation, so [--jobs N] and [--no-memo] stay byte-identical to
+    the sequential memoised run. *)
 
 val default_max_divisors : int
 (** Size of the ranked divisor shortlist the 1-/2-resub pair and triple

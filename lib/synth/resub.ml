@@ -34,7 +34,7 @@ let attempt net ~f ~d_cover ~d_lit =
       end
   end
 
-(* Structural rejection shared by the plain and the memoised paths: a
+(* Structural rejection shared by {!try_substitute} and the driver: a
    pair passing it is safe to attempt in either polarity. *)
 let pair_guarded ?cache net ~f ~d =
   let depends_on d f =
@@ -123,70 +123,45 @@ let run ?(use_complement = true) ?(use_filter = true)
     Division_memo.reads_of_set
       (Network.Node_set.add f (Network.Node_set.singleton d))
   in
-  (* One pair against [ctx.net], with per-phase memo replay/record. Each
-     polarity is skipped when the memo proves the recorded failure would
-     replay (reserving its recorded id burn — zero for algebraic
-     attempts — to keep the allocator in lockstep with a memo-off run).
+  (* One pair against [ctx.net], each polarity a memoised attempt.
      Failures recorded by a worker land in the shared striped table at
      the frozen clock — true facts even if the worker's whole scan is
      later discarded. *)
   let pair_attempt (ctx : Scheduler.ctx) ~cache f d =
     let net = ctx.net and c = ctx.counters in
-    match ctx.memo with
-    | None ->
-      Counters.timed c `Division @@ fun () ->
+    if pair_guarded ~cache net ~f ~d then begin
       Counters.add c.Counters.divisions_attempted 1;
-      try_substitute ~use_complement ~cache net ~f ~d
-    | Some m ->
-      if pair_guarded ~cache net ~f ~d then begin
-        Counters.add c.Counters.divisions_attempted 1;
-        false
-      end
-      else begin
-        let ran = ref false in
-        let phase_attempt ph real =
-          match
-            Division_memo.replay_failure m ~f
-              (Division_memo.Divisor (d, ph))
-              ~meth:Division_memo.Algebraic
-          with
-          | Some burn ->
-            Counters.add c.Counters.memo_hits 1;
-            if burn > 0 then Network.reserve_ids net burn;
-            false
-          | None ->
+      false
+    end
+    else begin
+      let ran = ref false in
+      let phase_attempt ph real =
+        Division_memo.attempt ctx.memo ~counters:c net ~f
+          (Division_memo.Divisor (d, ph))
+          ~meth:Division_memo.Algebraic
+          ~reads:(fun () -> pair_reads f d)
+          (fun () ->
             ran := true;
-            Counters.add c.Counters.memo_misses 1;
-            let id0 = Network.id_limit net in
-            let landed =
-              Counters.timed c `Division @@ fun () -> ctx.speculating real
-            in
-            if not landed then
-              Division_memo.record_failure m ~f
-                (Division_memo.Divisor (d, ph))
-                ~meth:Division_memo.Algebraic ~reads:(pair_reads f d)
-                ~burn:(Network.id_limit net - id0);
-            landed
-        in
-        let ok =
-          phase_attempt Division_memo.Pos (fun () ->
-              attempt_direct net ~f ~d)
-        in
-        let ok =
-          ok
-          || use_complement
-             && phase_attempt Division_memo.Neg (fun () ->
-                    attempt_complement net ~f ~d)
-        in
-        if !ran then Counters.add c.Counters.divisions_attempted 1;
+            Counters.timed c `Division @@ fun () -> ctx.speculating real)
+      in
+      let ok =
+        phase_attempt Division_memo.Pos (fun () -> attempt_direct net ~f ~d)
+      in
+      let ok =
         ok
-      end
+        || use_complement
+           && phase_attempt Division_memo.Neg (fun () ->
+                  attempt_complement net ~f ~d)
+      in
+      if !ran then Counters.add c.Counters.divisions_attempted 1;
+      ok
+    end
   in
   (* The scan of one dividend: rank its candidates among the pass's
      nodes, then attempt each pair in order — all of them live, up to
      the first would-be commit on a snapshot. Algebraic candidate
      selection reads every node's signature with no structural gate, so
-     no bounded read closure exists (the driver is unscoped). *)
+     no bounded read closure exists. *)
   let scan (ctx : Scheduler.ctx) f =
     let net = ctx.net in
     let cache, sigs =
@@ -226,7 +201,6 @@ let run ?(use_complement = true) ?(use_filter = true)
       Scheduler.run ~trace ~counters ~jobs ~use_memo ~max_passes net
         {
           Scheduler.name = "resub";
-          scoped = false;
           tally = counters.Counters.divisions_attempted;
           generation = (fun () -> 0);
           stop;

@@ -76,7 +76,7 @@ val resub_command :
     vectors in 64-bit words (default
     {!Logic_sim.Signature.default_words}); [use_memo] (default
     on) memoises failed division attempts across passes, producing
-    bit-identical networks with fewer replayed attempts; [counters]
+    bit-identical networks with fewer repeated attempts; [counters]
     accumulates pair/division tallies across the run for reporting.
     [fault_fuel] / [deadline_at] bound the implication work per unit and
     the overall wall clock (see {!Booldiv.Substitute.run}); [trace]

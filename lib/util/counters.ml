@@ -1,5 +1,5 @@
 (* Scalar tallies are [Atomic.t] so one record can be shared by the
-   sharded drivers' worker domains without losing updates; the
+   parallel drivers' worker domains without losing updates; the
    structured [pass_divisions] list stays single-writer (the driver's
    fixpoint loop). Workers usually still tally into private records
    folded in with [accumulate] — atomicity makes the shared-record path

@@ -10,10 +10,10 @@
     split between the phases.
 
     Every scalar tally is an {!Atomic.t}, so a single record is safe to
-    update from concurrent worker domains of the sharded drivers — no
+    update from concurrent worker domains of the parallel drivers — no
     update can be lost. Workers normally still tally into private
-    records which the driver folds in with {!accumulate} at region
-    commit (that keeps per-worker figures attributable); atomicity
+    records which the scheduler folds in with {!accumulate} when it
+    resolves their verdicts (that keeps per-worker figures attributable); atomicity
     covers the shared-record paths. The one structured field,
     [pass_divisions], is owned by the driver's fixpoint loop alone and
     must not be written from workers. *)

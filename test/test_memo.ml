@@ -85,6 +85,9 @@ let differential ~label ~jobs_on run () =
 let resub_run ~use_memo ~jobs ~counters net =
   ignore (Synth.Resub.run ~use_memo ~jobs ~counters net)
 
+let kresub_run ~use_memo ~jobs ~counters net =
+  ignore (Synth.Kresub.run ~use_memo ~jobs ~counters net)
+
 let substitute_run ~use_memo ~jobs ~counters net =
   let config =
     { Booldiv.Substitute.extended_config with use_memo; jobs }
@@ -129,6 +132,10 @@ let () =
             (differential ~label:"ext" ~jobs_on:1 substitute_run);
           Alcotest.test_case "substitute ext memo on/off, jobs=4" `Quick
             (differential ~label:"ext-par" ~jobs_on:test_jobs substitute_run);
+          Alcotest.test_case "resub-k memo on/off, jobs=1" `Quick
+            (differential ~label:"resub-k" ~jobs_on:1 kresub_run);
+          Alcotest.test_case "resub-k memo on/off, jobs=4" `Quick
+            (differential ~label:"resub-k-par" ~jobs_on:test_jobs kresub_run);
         ] );
       ( "trajectory",
         [ Alcotest.test_case "per-pass divisions drop" `Quick pass_trajectory ]

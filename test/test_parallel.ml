@@ -171,10 +171,11 @@ let pool_raise_no_hang () =
 (* ------------------------------------------------------------------ *)
 
 module Scheduler = Booldiv.Scheduler
+module Division_memo = Booldiv.Division_memo
 module Counters = Rar_util.Counters
 
-(* Three dividends a < b < c. a and b share input y, so they fall in one
-   Partition region; c sits alone in another. *)
+(* Three dividends a < b < c. a and b share input y, so their
+   footprints overlap; c's footprint is disjoint from both. *)
 let fake_net () =
   Logic_network.Builder.of_spec
     ~inputs:[ "x"; "y"; "z"; "v"; "w" ]
@@ -195,21 +196,18 @@ let commit net f =
 (* Run the scheduler with a driver whose scan is [script]; returns the
    counters and every scan as (live, dividend name), in call order per
    domain (worker scans interleave, so compare counts, not order). *)
-let run_fake ?(scoped = false) ?(jobs = 2) ?(use_memo = false)
-    ?(max_passes = 1) ?stop net script =
+let run_fake ?(jobs = 2) ?(use_memo = false) ?(max_passes = 1) ?stop net
+    script =
   let counters = Counters.create () in
   let calls = ref [] and lock = Mutex.create () in
   let scan (ctx : Scheduler.ctx) f =
     Mutex.protect lock (fun () ->
         calls := (ctx.live, Network.name ctx.net f) :: !calls);
-    (* One memo unit per scan, so dividend replays show up as hits. *)
-    if ctx.memo <> None then Counters.add ctx.counters.Counters.memo_misses 1;
     script ctx (Network.name ctx.net f) f
   in
   Scheduler.run ~counters ~jobs ~use_memo ~max_passes net
     {
       Scheduler.name = "fake";
-      scoped;
       tally = counters.Counters.divisions_attempted;
       generation = (fun () -> 0);
       stop = Option.value stop ~default:(fun () -> false);
@@ -263,9 +261,8 @@ let test_disjoint_set_survives () =
       | "a" -> set net [ "a" ]
       | _ -> set net b_reads
     in
-    run_fake ~scoped:true net (a_commits ~reads)
+    run_fake net (a_commits ~reads)
   in
-  (* a and b share a region, so only the read closures can keep b. *)
   let counters, calls = run [ "b"; "z" ] in
   Alcotest.(check int) "disjoint b survives a's commit" 1
     (count calls ~live:false "b");
@@ -278,24 +275,36 @@ let test_disjoint_set_survives () =
     (Atomic.get counters.Counters.speculative_wasted)
 
 let test_burn_replay () =
-  (* Every scan burns a dividend-specific number of ids, before a's
-     one commit; quiet snapshot verdicts and dividend-memo replays must
-     leave the allocator exactly where the sequential run does. *)
+  (* Every scan burns a dividend-specific number of ids, before a's one
+     commit, and is memoised as one whole-dividend unit through
+     Division_memo.attempt, the way Kresub's scan is: quiet snapshot
+     verdicts and memo replays must leave the allocator exactly where
+     the sequential run does. *)
   let burning (ctx : Scheduler.ctx) name f =
-    Network.reserve_ids ctx.net (String.length name + Char.code name.[0] mod 3);
-    a_commits ctx name f
+    let verdict = ref (quiet Scheduler.Unbounded) in
+    ignore
+      (Division_memo.attempt ctx.memo ~counters:ctx.counters ctx.net ~f
+         (Division_memo.Divisor (f, Division_memo.Both))
+         ~meth:Division_memo.Kresub
+         ~reads:(fun () -> Division_memo.all_nodes)
+         (fun () ->
+           Network.reserve_ids ctx.net
+             (String.length name + (Char.code name.[0] mod 3));
+           verdict := a_commits ctx name f;
+           !verdict.Scheduler.outcome <> Scheduler.Quiet));
+    !verdict
   in
-  let limit jobs =
+  let limit ?(use_memo = true) jobs =
     let net = fake_net () in
-    let counters, _ =
-      run_fake ~jobs ~use_memo:true ~max_passes:3 net burning
-    in
+    let counters, _ = run_fake ~jobs ~use_memo ~max_passes:3 net burning in
     (Network.id_limit net, Atomic.get counters.Counters.memo_hits)
   in
   let seq_limit, seq_hits = limit 1 and par_limit, par_hits = limit 2 in
+  let off_limit, _ = limit ~use_memo:false 1 in
   Alcotest.(check bool) "the memo replayed scans" true
     (seq_hits > 0 && par_hits > 0);
-  Alcotest.(check int) "id_limit jobs=2 = jobs=1" seq_limit par_limit
+  Alcotest.(check int) "id_limit jobs=2 = jobs=1" seq_limit par_limit;
+  Alcotest.(check int) "id_limit memo on = off" off_limit seq_limit
 
 let test_stop_halts () =
   List.iter
@@ -317,12 +326,17 @@ let test_stop_halts () =
 (* ------------------------------------------------------------------ *)
 
 (* The drivers supply only their per-dividend scans; pools, batching and
-   speculative accounting live in Booldiv.Scheduler alone. Source files
-   are declared as dune deps of this test, so the paths resolve inside
-   _build. *)
+   speculative accounting live in Booldiv.Scheduler alone, and memo
+   replay, recording and the id burn in Division_memo.attempt alone.
+   Source files are declared as dune deps of this test, so the paths
+   resolve inside _build. *)
 let test_drivers_have_no_scheduler () =
   let forbidden =
-    [ "Pool.run"; "Pool.create"; "speculative_wasted"; "split_at" ]
+    [
+      "Pool.run"; "Pool.create"; "speculative_wasted"; "split_at";
+      "Division_memo.replay_failure"; "Division_memo.record_failure";
+      "Network.reserve_ids"; "Partition.shard";
+    ]
   in
   let read path =
     let ic = open_in path in

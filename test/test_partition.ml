@@ -1,8 +1,7 @@
-(* Property tests for the fanout-disjoint region sharding used by the
-   parallel resubstitution scheduler: regions must cover every eligible
-   dividend exactly once, their footprints must be pairwise disjoint,
-   and the shard must be a pure function of the network structure
-   (independent of dividend order and of anything seed-driven). *)
+(* Property test for the structural footprints the scheduler's
+   survival rule and Substitute's read closures are built on: a
+   dividend's footprint must contain itself and its transitive fanin
+   and fanout cones. *)
 
 module Network = Logic_network.Network
 module Node_set = Network.Node_set
@@ -41,91 +40,6 @@ let test_footprint_covers_cones () =
         (dividends net))
     (benches ())
 
-let test_regions_pairwise_disjoint () =
-  List.iter
-    (fun (name, net) ->
-      let p = Partition.shard net (dividends net) in
-      let regions = Partition.regions p in
-      Array.iteri
-        (fun i ri ->
-          Array.iteri
-            (fun j rj ->
-              if i < j then
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: regions %d and %d disjoint" name i j)
-                  true
-                  (Node_set.disjoint ri.Partition.footprint
-                     rj.Partition.footprint))
-            regions)
-        regions)
-    (benches ())
-
-let test_exact_cover () =
-  List.iter
-    (fun (name, net) ->
-      let divs = dividends net in
-      let p = Partition.shard net divs in
-      let members =
-        Array.to_list (Partition.regions p)
-        |> List.concat_map (fun r -> r.Partition.members)
-        |> List.sort Int.compare
-      in
-      Alcotest.(check (list int))
-        (name ^ ": every dividend in exactly one region")
-        divs members;
-      List.iter
-        (fun f ->
-          let r = Partition.region_of p f in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: region_of %d consistent with members" name f)
-            true
-            (List.mem f (Partition.regions p).(r).Partition.members);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: member %d inside its region footprint" name
-               f)
-            true
-            (Node_set.mem f (Partition.regions p).(r).Partition.footprint))
-        divs)
-    (benches ())
-
-(* The shard must not depend on the order the driver happens to list
-   dividends in, nor on the simulation seed (which never enters the
-   computation): rebuilding the same circuit and re-sharding a permuted
-   list must give byte-identical regions. This is what keeps the region
-   structure stable across [--sim-seed] values. *)
-let test_shard_canonical () =
-  let show p =
-    Array.to_list (Partition.regions p)
-    |> List.map (fun r ->
-           Printf.sprintf "{%s|%s}"
-             (String.concat "," (List.map string_of_int r.Partition.members))
-             (String.concat ","
-                (List.map string_of_int
-                   (Node_set.elements r.Partition.footprint))))
-    |> String.concat ";"
-  in
-  List.iter
-    (fun row ->
-      let net = Suite.build row in
-      Synth.Script.run net Synth.Script.script_a;
-      let divs = dividends net in
-      let reference = show (Partition.shard net divs) in
-      Alcotest.(check string)
-        (row.Suite.name ^ ": reversed dividend order")
-        reference
-        (show (Partition.shard net (List.rev divs)));
-      Alcotest.(check string)
-        (row.Suite.name ^ ": duplicated dividends collapse")
-        reference
-        (show (Partition.shard net (divs @ divs)));
-      let rebuilt = Suite.build row in
-      Synth.Script.run rebuilt Synth.Script.script_a;
-      Alcotest.(check string)
-        (row.Suite.name ^ ": rebuilt circuit shards identically")
-        reference
-        (show (Partition.shard rebuilt (dividends rebuilt))))
-    Suite.quick_rows
-
 let () =
   Alcotest.run "partition"
     [
@@ -133,11 +47,5 @@ let () =
         [
           Alcotest.test_case "footprint covers TFI/TFO" `Quick
             test_footprint_covers_cones;
-          Alcotest.test_case "pairwise disjoint footprints" `Quick
-            test_regions_pairwise_disjoint;
-          Alcotest.test_case "exact cover of eligible dividends" `Quick
-            test_exact_cover;
-          Alcotest.test_case "canonical across order, dups, rebuilds" `Quick
-            test_shard_canonical;
         ] );
     ]
